@@ -294,32 +294,6 @@ impl PreparedScenario {
             cycles: result.cycles,
         }
     }
-
-    /// Batched trial mode: transmits every `(secret, seed)` pair in one
-    /// flat pass, laying the per-trial work out lane by lane over the
-    /// shared per-secret snapshots. Semantically exactly
-    /// `pairs.map(|(s, seed)| run_bit_trial(s, seed))` — the batch form
-    /// amortizes the attack-object setup per lane and is the unit the
-    /// harness's `--batch` dispatch and the `batched_trials/*` bench tier
-    /// time.
-    pub fn run_bit_trials(&self, pairs: &[(u64, u64)]) -> Vec<BitTrial> {
-        let mut attack = self.scenario.attack();
-        attack.reference_delta = self.reference_delta;
-        let mut out = Vec::with_capacity(pairs.len());
-        for &(secret, seed) in pairs {
-            attack.machine.noise.seed = seed;
-            let result = match &self.checkpoints {
-                Some(cks) => attack.run_trial_from(&cks[(secret & 1) as usize]),
-                None => attack.run_trial(secret),
-            };
-            out.push(BitTrial {
-                secret,
-                decoded: result.decoded,
-                cycles: result.cycles,
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -366,25 +340,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Batched execution is semantically a map of `run_bit_trial`.
-    #[test]
-    fn batched_trials_match_the_one_at_a_time_executor() {
-        let prepared = AttackScenario::new(
-            InterferenceVariant::PortContention,
-            SchemeKind::DomSpectre,
-            GeometryPreset::KabyLake,
-            NoisePreset::Quiet,
-        )
-        .prepare();
-        let pairs: Vec<(u64, u64)> = (0..6u64).map(|i| (i % 2, 100 + i)).collect();
-        let batched = prepared.run_bit_trials(&pairs);
-        let singles: Vec<BitTrial> = pairs
-            .iter()
-            .map(|&(s, seed)| prepared.run_bit_trial(s, seed))
-            .collect();
-        assert_eq!(batched, singles);
     }
 
     /// Noisy presets draw from the RNG streams during setup, so they must

@@ -140,11 +140,6 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// Resets statistics (state is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Empties the cache and zeroes its statistics without reallocating:
     /// validity is a generation bump, replacement metadata a contiguous
     /// fill. Equivalent to (but much cheaper than) constructing a fresh
@@ -330,13 +325,6 @@ impl SetAssocCache {
     pub fn occupancy(&self) -> usize {
         let gen = self.gen;
         self.stamp.iter().filter(|s| **s == gen).count()
-    }
-
-    /// Raw flat state for [`crate::batch::BatchedCache::broadcast`]: the
-    /// tag arena, validity stamps, current generation, and replacement
-    /// metadata, in `[set * ways + way]` layout.
-    pub(crate) fn flat_parts(&self) -> (&[u64], &[u32], u32, &FlatPolicy, CacheStats) {
-        (&self.tags, &self.stamp, self.gen, &self.policy, self.stats)
     }
 
     /// Diagnostic view of a set: each way's line and replacement metadata.

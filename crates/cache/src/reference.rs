@@ -23,10 +23,6 @@ pub struct ReferenceCache {
     config: CacheConfig,
     sets: Vec<RefSet>,
     stats: CacheStats,
-    /// Scratch validity vector for `choose_insert_way` (reused per fill so
-    /// the reference stays an honest stand-in for the pre-flat storage in
-    /// `sia bench`'s boxed-vs-flat comparison).
-    valid_scratch: Vec<bool>,
 }
 
 impl ReferenceCache {
@@ -39,7 +35,6 @@ impl ReferenceCache {
             })
             .collect();
         ReferenceCache {
-            valid_scratch: vec![false; config.ways],
             config,
             sets,
             stats: CacheStats::default(),
@@ -114,10 +109,8 @@ impl ReferenceCache {
 
     fn fill_into(&mut self, set: usize, line: u64) -> Option<u64> {
         let s = &mut self.sets[set];
-        for (v, l) in self.valid_scratch.iter_mut().zip(&s.lines) {
-            *v = l.is_some();
-        }
-        if let Some(w) = s.policy.choose_insert_way(&self.valid_scratch) {
+        let valid: Vec<bool> = s.lines.iter().map(Option::is_some).collect();
+        if let Some(w) = s.policy.choose_insert_way(&valid) {
             s.lines[w] = Some(line);
             s.policy.on_insert(w);
             return None;

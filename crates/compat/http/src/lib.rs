@@ -117,28 +117,18 @@ fn is_timeout(e: &io::Error) -> bool {
 }
 
 /// Reads one line (through `\n`) with a running size budget.
-fn read_head_line<R: BufRead>(
-    r: &mut R,
-    budget: &mut usize,
-    first: bool,
-) -> Result<String, ReadError> {
+fn read_head_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<String, ReadError> {
     let mut line = Vec::new();
     loop {
         let available = match r.fill_buf() {
             Ok(buf) => buf,
             Err(e) if is_timeout(&e) => {
-                if first && line.is_empty() {
-                    return Err(ReadError::Idle);
-                }
                 return Err(ReadError::Malformed("timed out mid-request head".into()));
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(ReadError::Io(e)),
         };
         if available.is_empty() {
-            if first && line.is_empty() {
-                return Err(ReadError::Closed);
-            }
             return Err(ReadError::Malformed("connection closed mid-head".into()));
         }
         let newline = available.iter().position(|&b| b == b'\n');
@@ -186,12 +176,23 @@ fn url_decode(text: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Reads and parses one request from `r`. `first` marks the first
-/// request of a connection (timeouts there are [`ReadError::Idle`],
-/// mid-stream timeouts are malformed).
-pub fn read_request<R: BufRead>(r: &mut R, first: bool) -> Result<Request, ReadError> {
+/// Reads and parses one request from `r`. A timeout or EOF before the
+/// request's first byte is [`ReadError::Idle`] or [`ReadError::Closed`]
+/// — a keep-alive connection between requests — on every request of a
+/// connection, not just its first; once a byte has arrived, a timeout or
+/// EOF is a malformed request.
+pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ReadError> {
+    loop {
+        match r.fill_buf() {
+            Ok([]) => return Err(ReadError::Closed),
+            Ok(_) => break,
+            Err(e) if is_timeout(&e) => return Err(ReadError::Idle),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(ReadError::Io(e)),
+        }
+    }
     let mut budget = MAX_HEAD_BYTES;
-    let request_line = read_head_line(r, &mut budget, first)?;
+    let request_line = read_head_line(r, &mut budget)?;
     let mut parts = request_line.split_ascii_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
@@ -231,7 +232,7 @@ pub fn read_request<R: BufRead>(r: &mut R, first: bool) -> Result<Request, ReadE
 
     let mut headers = Vec::new();
     loop {
-        let line = read_head_line(r, &mut budget, false)?;
+        let line = read_head_line(r, &mut budget)?;
         if line.is_empty() {
             break;
         }
@@ -528,15 +529,13 @@ where
         return;
     };
     let mut reader = BufReader::new(stream);
-    let mut first = true;
     let mut idle_ticks = 0u32;
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match read_request(&mut reader, first) {
+        match read_request(&mut reader) {
             Ok(request) => {
-                first = false;
                 idle_ticks = 0;
                 let keep_alive = request.keep_alive();
                 let mut responder = Responder {
@@ -574,18 +573,16 @@ where
     }
 }
 
-/// Writes a terse close-delimited error response (used for requests too
-/// broken to answer politely).
+/// Answers a request too broken to keep the connection for; the caller
+/// closes it.
 fn respond_and_close(stream: &mut TcpStream, status: u16, body: &str) {
-    let _ = stream.write_all(
-        format!(
-            "HTTP/1.1 {status} {}\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-            reason(status),
-            body.len(),
-        )
-        .as_bytes(),
-    );
-    let _ = stream.flush();
+    let mut responder = Responder {
+        stream,
+        keep_alive: false,
+        responded: false,
+        broken: false,
+    };
+    responder.respond(status, "text/plain", body.as_bytes());
 }
 
 /// The matching minimal client: enough to drive the daemon from tests
@@ -650,7 +647,9 @@ pub mod client {
         }
 
         /// Sends a request without waiting for the response (the
-        /// disconnect-mid-stream test hangs up here).
+        /// disconnect-mid-stream test hangs up here). Head and body go out
+        /// in one write: a second small write would wait on Nagle's
+        /// algorithm for the server's delayed ACK, ~40 ms per request.
         pub fn send_head(
             &mut self,
             method: &str,
@@ -663,9 +662,9 @@ pub mod client {
                 head.push_str(&format!("{name}: {value}\r\n"));
             }
             head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
-            self.writer.write_all(head.as_bytes())?;
-            self.writer.write_all(body)?;
-            self.writer.flush()
+            let mut bytes = head.into_bytes();
+            bytes.extend_from_slice(body);
+            self.send_raw(&bytes)
         }
 
         /// Sends raw bytes (for malformed-request protocol tests).
@@ -691,27 +690,7 @@ pub mod client {
         /// Reads one response (Content-Length, chunked, or
         /// close-delimited).
         pub fn read_response(&mut self) -> io::Result<ClientResponse> {
-            let status_line = self.read_line()?;
-            let status: u16 = status_line
-                .split_ascii_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad status line {status_line:?}"),
-                    )
-                })?;
-            let mut headers = Vec::new();
-            loop {
-                let line = self.read_line()?;
-                if line.is_empty() {
-                    break;
-                }
-                if let Some((name, value)) = line.split_once(':') {
-                    headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
-                }
-            }
+            let (status, headers) = self.read_streaming_head()?;
             let header = |name: &str| {
                 headers
                     .iter()
@@ -752,23 +731,8 @@ pub mod client {
             })
         }
 
-        /// Reads exactly one chunk of a chunked response body whose head
-        /// has already been consumed by… nothing. Convenience for
-        /// streaming tests: call [`read_streaming_head`] first.
-        pub fn read_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-            let size_line = self.read_line()?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad chunk size"))?;
-            let mut chunk = vec![0u8; size + 2];
-            self.reader.read_exact(&mut chunk)?;
-            if size == 0 {
-                return Ok(None);
-            }
-            chunk.truncate(size);
-            Ok(Some(chunk))
-        }
-
-        /// Reads a response's status line and headers only (for
+        /// Reads a response's status line and headers only (the head of
+        /// [`read_response`](Self::read_response), and the way into
         /// incremental consumption of a chunked stream).
         pub fn read_streaming_head(&mut self) -> io::Result<(u16, Vec<(String, String)>)> {
             let status_line = self.read_line()?;
@@ -776,7 +740,12 @@ pub mod client {
                 .split_ascii_whitespace()
                 .nth(1)
                 .and_then(|s| s.parse().ok())
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad status line {status_line:?}"),
+                    )
+                })?;
             let mut headers = Vec::new();
             loop {
                 let line = self.read_line()?;
@@ -867,6 +836,42 @@ mod tests {
             assert_eq!(resp.status, 200, "request {i}");
             assert_eq!(resp.header("connection"), Some("keep-alive"));
         }
+        flag.store(true, Ordering::SeqCst);
+    }
+
+    /// A keep-alive client may pause longer than one read tick between
+    /// requests: the pause is idleness, not a malformed request.
+    #[test]
+    fn keep_alive_connection_survives_an_idle_pause() {
+        let (addr, flag) = start_echo_server();
+        let mut conn = client::Conn::connect(&addr).expect("connect");
+        let resp = conn.send("POST", "/echo", &[], b"one").expect("first");
+        assert_eq!(resp.status, 200);
+        std::thread::sleep(Duration::from_millis(600));
+        let resp = conn.send("POST", "/echo", &[], b"two").expect("second");
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(resp.body, b"two");
+        flag.store(true, Ordering::SeqCst);
+    }
+
+    /// Each keep-alive POST costs a loopback round trip, not a delayed
+    /// ACK: ten of them finish well under the ~400 ms a split head/body
+    /// write costs.
+    #[test]
+    fn keep_alive_posts_do_not_stall_on_delayed_acks() {
+        let (addr, flag) = start_echo_server();
+        let mut conn = client::Conn::connect(&addr).expect("connect");
+        conn.send("POST", "/echo", &[], b"warmup").expect("warmup");
+        let start = std::time::Instant::now();
+        for i in 0..10 {
+            let resp = conn.send("POST", "/echo", &[], b"{}").expect("post");
+            assert_eq!(resp.status, 200, "request {i}");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "10 keep-alive POSTs took {elapsed:?}"
+        );
         flag.store(true, Ordering::SeqCst);
     }
 
@@ -972,7 +977,7 @@ mod tests {
         let raw = b"POST /v1/sweep?stream=1&grid=defense&x=a%20b HTTP/1.1\r\n\
                     Host: sia\r\nContent-Type: application/json\r\ncontent-length: 2\r\n\r\n{}";
         let mut reader = BufReader::new(&raw[..]);
-        let req = read_request(&mut reader, true).expect("parses");
+        let req = read_request(&mut reader).expect("parses");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/sweep");
         assert!(req.query_flag("stream"));

@@ -47,21 +47,6 @@ pub fn run_cell(
     }
 }
 
-/// Runs the full matrix.
-pub fn vulnerability_matrix(
-    schemes: &[SchemeKind],
-    attacks: &[AttackKind],
-    machine: &MachineConfig,
-) -> Vec<MatrixCell> {
-    let mut cells = Vec::with_capacity(schemes.len() * attacks.len());
-    for scheme in schemes {
-        for attack in attacks {
-            cells.push(run_cell(*scheme, *attack, machine));
-        }
-    }
-    cells
-}
-
 /// Renders the matrix as an aligned text table (schemes as rows, attacks
 /// as columns, `X` marking a working covert channel).
 pub fn render_matrix(

@@ -116,11 +116,7 @@ impl ArtifactCache {
         }
         let slot = {
             let mut slots = self.slots.lock().expect("artifact slot table poisoned");
-            Arc::clone(
-                slots
-                    .entry((namespace, key.to_owned()))
-                    .or_default(),
-            )
+            Arc::clone(slots.entry((namespace, key.to_owned())).or_default())
         };
         let mut built = false;
         let value = slot.get_or_init(|| {

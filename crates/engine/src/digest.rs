@@ -6,7 +6,7 @@
 //! cross-version promise, and `SipHasher` is randomly keyed elsewhere).
 //! Two independently-seeded FNV-1a 64 streams give a cheap 128-bit
 //! digest; a colliding pair would only cost a spurious cache miss, never
-//! a wrong result, because [`crate::cache::UnitCache`] stores the full
+//! a wrong result, because [`crate::PackStore`] stores the full
 //! canonical description next to each payload and verifies it on read.
 
 /// FNV-1a 64-bit offset basis.

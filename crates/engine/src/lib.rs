@@ -9,7 +9,7 @@
 //! * [`scheduler`] — a chunked work-stealing executor with preallocated
 //!   per-index result slots, so output ordering is structural and
 //!   1-thread vs N-thread runs are byte-identical by construction;
-//! * [`cache::UnitCache`] — an on-disk content-addressed store keyed by
+//! * [`PackStore`] — an on-disk content-addressed store keyed by
 //!   `hash(canonical(UnitSpec), code_epoch)`, letting a re-run execute
 //!   only the units whose spec changed and splice cached outcomes
 //!   in-place.
@@ -31,7 +31,6 @@
 //! forgotten.
 
 pub mod artifact;
-pub mod cache;
 pub mod digest;
 pub mod scheduler;
 pub mod store;
@@ -41,8 +40,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 pub use artifact::{ArtifactCache, ArtifactStats};
-pub use cache::{CacheStats, UnitCache};
-pub use store::PackStore;
+pub use store::{CacheStats, PackStore};
 pub use unit::UnitSpec;
 
 /// How a batch of units was satisfied.
@@ -125,9 +123,8 @@ impl Engine {
 
     /// An engine backed by the packed on-disk unit store under `dir`,
     /// keyed under `code_epoch` (see the crate docs for the invalidation
-    /// rule). Opening reads every pack segment once — and imports any
-    /// legacy one-file-per-unit entries — so lookups during runs are
-    /// pure in-memory.
+    /// rule). Opening reads every pack segment once, so lookups during
+    /// runs are pure in-memory.
     pub fn with_cache(
         threads: usize,
         code_epoch: u64,
@@ -150,11 +147,6 @@ impl Engine {
     pub fn with_progress(mut self, progress: ProgressFn) -> Engine {
         self.progress = Some(progress);
         self
-    }
-
-    /// Worker threads the scheduler fans out to.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The packed store this engine splices from, if any.

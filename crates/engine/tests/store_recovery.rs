@@ -1,5 +1,4 @@
-//! Corruption-recovery property test for the packed store, plus the
-//! legacy-cache migration guarantee.
+//! Corruption-recovery property test for the packed store.
 //!
 //! The property: **whatever bytes rot on disk, the store never serves a
 //! corrupt payload.** Every record carries a checksum and its full
@@ -10,7 +9,7 @@
 //! cold-run outcomes.
 
 use rand::{Rng, SeedableRng, StdRng};
-use si_engine::{Engine, PackStore, UnitCache, UnitSpec};
+use si_engine::{Engine, PackStore, UnitSpec};
 
 const EPOCH: u64 = 1;
 
@@ -168,42 +167,5 @@ fn garbage_segments_are_ignored() {
             Some(outcome(spec).to_string().as_str())
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The migration guarantee: a legacy one-file-per-unit cache directory
-/// imports into the packed store at open, and a warm engine rerun over
-/// it executes **zero** units. The loose `.unit` files are gone after.
-#[test]
-fn legacy_cache_dir_migrates_with_a_zero_execution_warm_rerun() {
-    let dir = temp_dir("migrate");
-    let units = specs(20);
-    let legacy = UnitCache::new(&dir);
-    for spec in &units {
-        legacy
-            .store(spec, EPOCH, &outcome(spec).to_string())
-            .expect("legacy store");
-    }
-
-    let engine = Engine::with_cache(2, EPOCH, &dir);
-    let (values, stats) = engine.run_units(
-        &units,
-        |i| outcome(&units[i]),
-        |v| Some(v.to_string()),
-        |p| p.parse().ok(),
-    );
-    assert_eq!(values, units.iter().map(outcome).collect::<Vec<_>>());
-    assert_eq!(stats.executed, 0, "migrated store must serve everything");
-    assert_eq!(stats.cached, units.len());
-
-    // The loose files were re-packed and deleted.
-    assert_eq!(
-        legacy.stats(EPOCH).expect("stats").entries(),
-        0,
-        "legacy .unit files must be gone after import"
-    );
-    // And the migration is durable: a fresh process (store) still
-    // serves everything.
-    assert_eq!(PackStore::open(&dir).len(), units.len());
     let _ = std::fs::remove_dir_all(&dir);
 }

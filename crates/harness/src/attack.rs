@@ -239,6 +239,38 @@ impl AttackGrid {
     pub fn unit_count(&self) -> usize {
         self.rows().len() * self.schemes.len() * self.trials.max(1)
     }
+
+    /// The grid's unit stream under `seed`, cell-major with trials
+    /// innermost: unit `i`'s noise seed is `mix_seed(seed, i)` and its
+    /// transmitted bit is `secret_bits(trials, seed)[trial]`, and each
+    /// cell's machine fingerprint pins its cache address.
+    pub fn unit_specs(&self, seed: u64) -> Vec<UnitSpec> {
+        let trials = self.trials.max(1);
+        let cells = grid_cells(self, &self.rows());
+        // Every cell transmits the same exactly balanced secret sequence;
+        // the per-unit seed feeds only the noise.
+        let bits = leakage::secret_bits(trials, seed);
+        let mut specs = Vec::with_capacity(cells.len() * trials);
+        for scenario in &cells {
+            let digest = fnv64(scenario.machine().fingerprint().as_bytes());
+            for (trial, bit) in bits.iter().enumerate() {
+                specs.push(UnitSpec {
+                    kind: "attack",
+                    key: format!(
+                        "variant={} scheme={} geometry={} noise={} bit={bit}",
+                        scenario.variant.slug(),
+                        scheme_slug(scenario.scheme),
+                        scenario.geometry.slug(),
+                        scenario.noise.slug(),
+                    ),
+                    trial: trial as u64,
+                    seed: mix_seed(seed, specs.len() as u64),
+                    config_digest: digest,
+                });
+            }
+        }
+        specs
+    }
 }
 
 /// One attack row: a machine plus the transmitter mounted on it.
@@ -293,34 +325,8 @@ pub fn run_attack_grid(
     // The calibration is a deterministic function of the cell, so lazy
     // vs eager resolution cannot change any outcome.
     let prepared: Vec<OnceLock<PreparedScenario>> = cells.iter().map(|_| OnceLock::new()).collect();
-    let cell_digests: Vec<u64> = cells
-        .iter()
-        .map(|c| fnv64(c.machine().fingerprint().as_bytes()))
-        .collect();
-
-    // Bit trials: every cell transmits the same exactly balanced secret
-    // sequence; the per-unit seed feeds only the noise.
     let bits = leakage::secret_bits(trials, seed);
-    let specs: Vec<UnitSpec> = (0..cells.len() * trials)
-        .map(|i| {
-            let (cell, trial) = (i / trials, i % trials);
-            let scenario = &cells[cell];
-            UnitSpec {
-                kind: "attack",
-                key: format!(
-                    "variant={} scheme={} geometry={} noise={} bit={}",
-                    scenario.variant.slug(),
-                    scheme_slug(scenario.scheme),
-                    scenario.geometry.slug(),
-                    scenario.noise.slug(),
-                    bits[trial]
-                ),
-                trial: trial as u64,
-                seed: mix_seed(seed, i as u64),
-                config_digest: cell_digests[cell],
-            }
-        })
-        .collect();
+    let specs = grid.unit_specs(seed);
     let (outcomes, stats) = engine.run_units(
         &specs,
         |i| {
@@ -331,53 +337,6 @@ pub fn run_attack_grid(
         encode_trial,
         decode_trial,
     );
-    Ok((
-        attack_doc(grid, seed, trials, &rows, &cells, &outcomes),
-        stats,
-    ))
-}
-
-/// Runs an attack grid in batched trial mode: no unit engine, no cache —
-/// each cell's trials are laid out in contiguous batches of `batch` and
-/// dispatched over `threads` workers, each batch executed through
-/// [`PreparedScenario::run_bit_trials`]. Outcomes land in the same
-/// cell-major order the engine path uses, and every per-unit seed and
-/// secret bit is derived identically, so the emitted document is
-/// byte-identical to [`run_attack_grid`]'s for the same `(grid, seed)`.
-pub fn run_attack_grid_batched(
-    grid: &AttackGrid,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-) -> Result<(Json, ExecStats), String> {
-    let trials = grid.trials.max(1);
-    let batch = batch.max(1);
-    let rows = grid.rows();
-    if rows.is_empty() || grid.schemes.is_empty() {
-        return Err("grid has no cells (an axis is empty)".into());
-    }
-    let cells = grid_cells(grid, &rows);
-    let prepared: Vec<OnceLock<PreparedScenario>> = cells.iter().map(|_| OnceLock::new()).collect();
-    let bits = leakage::secret_bits(trials, seed);
-    // One task per (cell, batch) pair; batches never straddle cells.
-    let batches_per_cell = trials.div_ceil(batch);
-    let tasks = cells.len() * batches_per_cell;
-    let results: Vec<Vec<BitTrial>> = crate::exec::parallel_map(tasks, threads, |t| {
-        let (cell, chunk) = (t / batches_per_cell, t % batches_per_cell);
-        let lo = chunk * batch;
-        let hi = ((chunk + 1) * batch).min(trials);
-        let p = prepared[cell].get_or_init(|| cells[cell].prepare());
-        let pairs: Vec<(u64, u64)> = (lo..hi)
-            .map(|trial| (bits[trial], mix_seed(seed, (cell * trials + trial) as u64)))
-            .collect();
-        p.run_bit_trials(&pairs)
-    });
-    let outcomes: Vec<BitTrial> = results.concat();
-    let stats = ExecStats {
-        total: outcomes.len(),
-        executed: outcomes.len(),
-        ..ExecStats::default()
-    };
     Ok((
         attack_doc(grid, seed, trials, &rows, &cells, &outcomes),
         stats,
@@ -546,11 +505,11 @@ mod tests {
         grid
     }
 
-    /// The three execution paths — engine with checkpointing, engine with
-    /// `--no-checkpoint`, and batched — must emit byte-identical
-    /// documents for the same `(grid, seed)`.
+    /// The two execution paths — engine with checkpointing and engine
+    /// with `--no-checkpoint` — must emit byte-identical documents for
+    /// the same `(grid, seed)`.
     #[test]
-    fn no_checkpoint_and_batched_paths_emit_identical_documents() {
+    fn no_checkpoint_path_emits_an_identical_document() {
         let grid = tiny_grid();
         let engine = Engine::new(1);
         let (fast, _) = run_attack_grid(&grid, 7, &engine).expect("grid runs");
@@ -558,12 +517,6 @@ mod tests {
         scratch_grid.disable_checkpoint = true;
         let (scratch, _) = run_attack_grid(&scratch_grid, 7, &engine).expect("grid runs");
         assert_eq!(fast.to_pretty(), scratch.to_pretty());
-        for batch in [1, 3, 16] {
-            let (batched, stats) = run_attack_grid_batched(&grid, 7, 2, batch).expect("grid runs");
-            assert_eq!(fast.to_pretty(), batched.to_pretty(), "batch={batch}");
-            assert_eq!(stats.cached, 0);
-            assert_eq!(stats.executed, grid.unit_count());
-        }
     }
 
     /// `disable_checkpoint` changes every cell's machine fingerprint, so

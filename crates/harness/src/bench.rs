@@ -1,13 +1,16 @@
 //! `sia bench` — the repo's wall-clock microbenchmark suite and the
 //! producer of the schema-versioned `BENCH_baseline.json` perf snapshot.
 //!
-//! Five tiers, mirroring the simulation hot path bottom-up:
+//! The tiers mirror the simulation hot path bottom-up:
 //!
+//! * **calib** — a fixed pure-integer loop (`calib/int_loop`) that runs
+//!   no simulator code. Layers without a second production path to pair
+//!   with are gated as *calib min ÷ tier min*: the host's speed cancels
+//!   out, so the ratio moves only when the layer itself gets slower or
+//!   faster;
 //! * **policy** — per-access cost of the set-associative cache under each
-//!   replacement policy, on both the flat enum-dispatched storage
-//!   (`policy_flat/*`) and the boxed-trait reference storage
-//!   (`policy_boxed/*`, the pre-flat representation) — their ratio is the
-//!   storage-rewrite speedup;
+//!   replacement policy (`policy_flat/*`), gated against the calibration
+//!   kernel as one geomean over the four policies;
 //! * **pipeline** — cycles/second of the out-of-order core on an ALU loop,
 //!   driven through [`Machine::advance`] (`pipeline_advance`, the
 //!   idle-cycle-skipping path) and through per-cycle [`Machine::step`]
@@ -16,15 +19,12 @@
 //! * **trial** — one end-to-end covert-channel attack trial, the unit of
 //!   every Monte-Carlo figure in the paper;
 //! * **engine** — the execution engine's own overhead: empty-unit
-//!   dispatch through the work-stealing scheduler (`engine_dispatch/*`)
-//!   against the retired mutex-collect-and-sort executor
-//!   (`engine_dispatch_mutex/*`, their ratio is the scheduler-rewrite
-//!   speedup on dispatch-bound grids), and the per-unit cost of
+//!   dispatch through the work-stealing scheduler (`engine_dispatch/*`,
+//!   gated against the calibration kernel), and the per-unit cost of
 //!   splicing a fully warm on-disk cache (`engine_cache/warm_splice`);
 //! * **store** — warm-lookup cost of the packed unit store
-//!   (`store_lookup/*`, the in-memory index behind `sia serve`) against
-//!   the retired one-file-per-unit cache (`store_lookup_files/*`) — their
-//!   ratio is the packed-store warm-path speedup;
+//!   (`store_lookup/*`, the in-memory index behind `sia serve`), gated
+//!   against the calibration kernel;
 //! * **trace** — replay of the committed `traces/mixed.sit` fixture in
 //!   full (`trace_full/*`) and SimPoint-sampled (`trace_sampled/*`)
 //!   mode — their ratio is the wall-clock return on simulating only the
@@ -35,7 +35,6 @@
 
 use std::time::Instant;
 
-use si_cache::reference::ReferenceCache;
 use si_cache::{CacheConfig, PolicyKind, SetAssocCache};
 use si_core::attacks::{Attack, AttackKind};
 use si_cpu::{Machine, MachineConfig};
@@ -63,10 +62,10 @@ pub const BENCH_WARN_FRACTION: f64 = 0.90;
 /// Outcome of comparing a bench run against a baseline snapshot.
 ///
 /// Only the derived **speedup ratios** are compared — they are
-/// dimensionless (optimized path over reference path on the *same*
-/// machine and build), so a committed baseline from one machine gates a
-/// CI run on another. Raw wall-clock numbers are machine-dependent and
-/// deliberately ignored.
+/// dimensionless (a reference tier's time over a measured tier's time on
+/// the *same* machine and build), so a committed baseline from one
+/// machine gates a CI run on another. Raw wall-clock numbers are
+/// machine-dependent and deliberately ignored.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchComparison {
     /// Ratios that regressed past [`BENCH_FAIL_FRACTION`] (or vanished),
@@ -221,36 +220,62 @@ impl Measured {
     }
 }
 
-/// Times `work` (after one untimed warmup) `samples` times.
-fn measure(
-    id: impl Into<String>,
-    samples: usize,
+/// A benchmark before it is timed: its id, the work units one sample
+/// does (accesses, cycles, or trials), and the work itself.
+struct Tier<'a> {
+    id: String,
     units: u64,
     unit: &'static str,
-    mut work: impl FnMut(),
-) -> Measured {
-    work(); // warmup, untimed
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        work();
-        times.push(start.elapsed().as_nanos() as u64);
-    }
-    let sum: u64 = times.iter().sum();
-    Measured {
-        id: id.into(),
-        samples,
-        mean_ns: sum / samples.max(1) as u64,
-        min_ns: times.iter().copied().min().unwrap_or(0),
-        max_ns: times.iter().copied().max().unwrap_or(0),
-        units,
-        unit,
+    work: Box<dyn FnMut() + 'a>,
+}
+
+impl<'a> Tier<'a> {
+    fn new(id: impl Into<String>, units: u64, unit: &'static str, work: impl FnMut() + 'a) -> Self {
+        Tier {
+            id: id.into(),
+            units,
+            unit,
+            work: Box::new(work),
+        }
     }
 }
 
-/// The policy benchmark runs `POLICY_REPS` cold-start passes of the
-/// 1000-access mixed pattern from `benches/replacement.rs` per sample
-/// (more work per sample keeps the statistics stable on noisy machines).
+/// Times `tiers` round-robin after one untimed warmup pass: each of
+/// `rounds` passes takes one sample of every tier. On a shared host,
+/// memory- and branch-heavy code runs up to ~2× slower through busy
+/// stretches that leave a pure-integer loop untouched; a tier timed in
+/// one short burst can miss every quiet stretch, so its minimum would
+/// depend on when it ran. Interleaved, every tier's samples span the
+/// same stretch of machine time.
+fn measure_round_robin(rounds: usize, mut tiers: Vec<Tier<'_>>) -> Vec<Measured> {
+    for tier in &mut tiers {
+        (tier.work)();
+    }
+    let mut times = vec![Vec::with_capacity(rounds); tiers.len()];
+    for _ in 0..rounds {
+        for (tier, times) in tiers.iter_mut().zip(&mut times) {
+            let start = Instant::now();
+            (tier.work)();
+            times.push(start.elapsed().as_nanos() as u64);
+        }
+    }
+    tiers
+        .iter()
+        .zip(times)
+        .map(|(tier, times)| Measured {
+            id: tier.id.clone(),
+            samples: rounds,
+            mean_ns: times.iter().sum::<u64>() / rounds.max(1) as u64,
+            min_ns: times.iter().copied().min().unwrap_or(0),
+            max_ns: times.iter().copied().max().unwrap_or(0),
+            units: tier.units,
+            unit: tier.unit,
+        })
+        .collect()
+}
+
+/// The policy benchmark runs `POLICY_REPS` cold-start passes of a
+/// 1000-access mixed pattern per sample.
 const POLICY_REPS: u64 = 10;
 const POLICY_ACCESSES: u64 = POLICY_REPS * 1000;
 
@@ -264,48 +289,31 @@ fn policy_geometry(policy: PolicyKind) -> CacheConfig {
     CacheConfig::new(64, 16, policy)
 }
 
-fn bench_policies(samples: usize, out: &mut Vec<Measured>) {
+fn policy_tiers() -> Vec<Tier<'static>> {
     let policies = [
         ("lru", PolicyKind::Lru),
         ("qlru_h11_m1_r0_u0", PolicyKind::qlru_h11_m1_r0_u0()),
         ("srrip", PolicyKind::Srrip),
         ("tree_plru", PolicyKind::TreePlru),
     ];
-    for (name, policy) in policies {
-        // Each rep starts from an empty cache (the miss/fill-heavy shape of
-        // a prime round): the flat storage resets its arena in place; the
-        // boxed reference reconstructs per-set vectors and trait objects,
-        // exactly as the pre-flat storage had to.
-        let mut flat = SetAssocCache::new("bench", policy_geometry(policy));
-        out.push(measure(
-            format!("policy_flat/{name}"),
-            samples,
-            POLICY_ACCESSES,
-            "access",
-            || {
+    policies
+        .into_iter()
+        .map(|(name, policy)| {
+            // Each rep starts from an empty cache (the miss/fill-heavy
+            // shape of a prime round): the flat storage resets its arena
+            // in place.
+            let mut flat = SetAssocCache::new("bench", policy_geometry(policy));
+            let id = format!("policy_flat/{name}");
+            Tier::new(id, POLICY_ACCESSES, "access", move || {
                 for _ in 0..POLICY_REPS {
                     flat.reset();
                     policy_trace(|line| {
                         flat.access(line);
                     });
                 }
-            },
-        ));
-        out.push(measure(
-            format!("policy_boxed/{name}"),
-            samples,
-            POLICY_ACCESSES,
-            "access",
-            || {
-                for _ in 0..POLICY_REPS {
-                    let mut boxed = ReferenceCache::new(policy_geometry(policy));
-                    policy_trace(|line| {
-                        boxed.access(line);
-                    });
-                }
-            },
-        ));
-    }
+            })
+        })
+        .collect()
 }
 
 fn alu_loop_program() -> Program {
@@ -344,46 +352,60 @@ fn pointer_chase_program() -> Program {
 }
 
 fn bench_pipeline(samples: usize, out: &mut Vec<Measured>) {
-    for (name, program) in [
+    let programs = [
         ("alu_loop_2k", alu_loop_program()),
         ("pointer_chase_200", pointer_chase_program()),
-    ] {
+    ];
+    let mut tiers = Vec::new();
+    for (name, program) in &programs {
         let cycles = {
             let mut m = Machine::new(MachineConfig::default());
-            m.load_program(0, &program);
+            m.load_program(0, program);
             m.run_core_to_halt(0, 1_000_000).expect("kernel halts")
         };
-        out.push(measure(
+        tiers.push(Tier::new(
             format!("pipeline_advance/{name}"),
-            samples,
             cycles,
             "cycle",
-            || {
+            move || {
                 let mut m = Machine::new(MachineConfig::default());
-                m.load_program(0, &program);
+                m.load_program(0, program);
                 m.run_core_to_halt(0, 1_000_000).expect("kernel halts");
             },
         ));
-        out.push(measure(
+        tiers.push(Tier::new(
             format!("pipeline_step/{name}"),
-            samples,
             cycles,
             "cycle",
-            || {
+            move || {
                 // Same driver, skipping disabled — bounded so a divergence
                 // between the two modes fails fast instead of spinning.
                 let mut m = Machine::new(MachineConfig {
                     disable_idle_skip: true,
                     ..MachineConfig::default()
                 });
-                m.load_program(0, &program);
+                m.load_program(0, program);
                 m.run_core_to_halt(0, 1_000_000).expect("kernel halts");
             },
         ));
     }
+    out.extend(measure_round_robin(samples, tiers));
 }
 
 fn bench_trials(samples: usize, out: &mut Vec<Measured>) {
+    // One scored attack-grid bit trial (the `sia attack` unit), reference
+    // calibration included once up front as the grid runner does it.
+    let cell = si_attack::AttackScenario::new(
+        si_attack::InterferenceVariant::MshrPressure,
+        SchemeKind::InvisiSpecSpectre,
+        si_cpu::GeometryPreset::KabyLake,
+        si_cpu::NoisePreset::Quiet,
+    );
+    let prepared = cell.prepare();
+    let mut scratch_cell = cell;
+    scratch_cell.disable_checkpoint = true;
+    let scratch = scratch_cell.prepare();
+    let mut tiers = Vec::new();
     for (name, kind, scheme) in [
         (
             "dcache_npeu_dom",
@@ -402,28 +424,17 @@ fn bench_trials(samples: usize, out: &mut Vec<Measured>) {
         // what the end-to-end tier times.
         let attack = Attack::new(kind, scheme, MachineConfig::default());
         let ck = attack.checkpoint_trial(1).expect("training converges");
-        out.push(measure(
+        tiers.push(Tier::new(
             format!("trial_e2e/{name}"),
-            samples,
             1,
             "trial",
-            || {
+            move || {
                 attack.run_trial_from(&ck);
             },
         ));
     }
-    // One scored attack-grid bit trial (the `sia attack` unit), reference
-    // calibration included once up front as the grid runner does it.
-    let cell = si_attack::AttackScenario::new(
-        si_attack::InterferenceVariant::MshrPressure,
-        SchemeKind::InvisiSpecSpectre,
-        si_cpu::GeometryPreset::KabyLake,
-        si_cpu::NoisePreset::Quiet,
-    );
-    let prepared = cell.prepare();
-    out.push(measure(
+    tiers.push(Tier::new(
         "trial_e2e/attack_mshr_invisispec",
-        samples,
         1,
         "trial",
         || {
@@ -434,40 +445,23 @@ fn bench_trials(samples: usize, out: &mut Vec<Measured>) {
     // ratio: the same grid unit once through the checkpoint fork and once
     // through the `--no-checkpoint` differential path. Both emit the
     // byte-identical BitTrial; only the simulated-setup replay differs.
-    out.push(measure(
+    tiers.push(Tier::new(
         "trial_fork/attack_mshr_invisispec",
-        samples,
         1,
         "trial",
         || {
             prepared.run_bit_trial(1, 42);
         },
     ));
-    let mut scratch_cell = cell;
-    scratch_cell.disable_checkpoint = true;
-    let scratch = scratch_cell.prepare();
-    out.push(measure(
+    tiers.push(Tier::new(
         "trial_scratch/attack_mshr_invisispec",
-        samples,
         1,
         "trial",
         || {
             scratch.run_bit_trial(1, 42);
         },
     ));
-    // Batched struct-of-lanes dispatch: eight trials per sample through
-    // `run_bit_trials`, the unit the CLI's `--batch` mode executes.
-    const BATCH: u64 = 8;
-    let pairs: Vec<(u64, u64)> = (0..BATCH).map(|i| (i % 2, 42 + i)).collect();
-    out.push(measure(
-        "batched_trials/mshr_invisispec_x8",
-        samples,
-        BATCH,
-        "trial",
-        || {
-            prepared.run_bit_trials(&pairs);
-        },
-    ));
+    out.extend(measure_round_robin(samples, tiers));
 }
 
 /// The checkpoint layer's own primitives: one deep snapshot of a
@@ -478,9 +472,10 @@ fn bench_checkpoint(samples: usize, out: &mut Vec<Measured>) {
     let mut m = Machine::new(MachineConfig::default());
     m.load_program(0, &pointer_chase_program());
     m.run_cycles(5_000); // mid-chase: caches, MSHRs and ROB populated
-    out.push(measure(
+    let ck = si_cpu::MachineCheckpoint::capture(&m);
+    let mut tiers = Vec::new();
+    tiers.push(Tier::new(
         "checkpoint_restore/capture_midrun",
-        samples,
         1,
         "snapshot",
         || {
@@ -488,10 +483,8 @@ fn bench_checkpoint(samples: usize, out: &mut Vec<Measured>) {
             assert!(ck.cycle() > 0);
         },
     ));
-    let ck = si_cpu::MachineCheckpoint::capture(&m);
-    out.push(measure(
+    tiers.push(Tier::new(
         "checkpoint_restore/fork_midrun",
-        samples,
         1,
         "fork",
         || {
@@ -499,60 +492,21 @@ fn bench_checkpoint(samples: usize, out: &mut Vec<Measured>) {
             assert_eq!(f.cycle(), ck.cycle());
         },
     ));
-}
-
-/// The executor `si-engine`'s scheduler replaced: one global atomic
-/// claiming single indices, results funneled through a `Mutex<Vec>` and
-/// sorted at the end. Kept here as the reference side of the
-/// `engine_dispatch_over_mutex` ratio, exactly as the boxed cache
-/// storage survives as the `policy_*` reference.
-fn mutex_collect_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let workers = threads.clamp(1, n.max(1));
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f(i)));
-                }
-                collected.lock().expect("never poisoned").extend(local);
-            });
-        }
-    });
-    let mut pairs = collected.into_inner().expect("never poisoned");
-    pairs.sort_by_key(|(i, _)| *i);
-    pairs.into_iter().map(|(_, v)| v).collect()
+    out.extend(measure_round_robin(samples, tiers));
 }
 
 /// Units in one empty-dispatch sample: enough that per-unit scheduler
 /// overhead dominates thread spawn/join.
-const DISPATCH_UNITS: usize = 50_000;
+const DISPATCH_UNITS: usize = 1_000_000;
 /// Units in one warm-cache splice sample.
 const SPLICE_UNITS: usize = 2_000;
 /// Records in one warm store-lookup sample.
 const STORE_UNITS: usize = 10_000;
 
-/// Warm-lookup cost of the packed store (`store_lookup/*`) against the
-/// retired one-file-per-unit cache (`store_lookup_files/*`): the packed
-/// store answers from its in-memory index (zero syscalls), the file
-/// cache pays an open+read per probe. Their ratio is the daemon's
-/// warm-path speedup.
-fn bench_store(samples: usize, out: &mut Vec<Measured>) {
+/// Warm-lookup cost of the packed store (`store_lookup/*`): every probe
+/// answers from the in-memory index, zero syscalls — the daemon's warm
+/// path.
+fn store_tier() -> Tier<'static> {
     let specs: Vec<si_engine::UnitSpec> = (0..STORE_UNITS)
         .map(|t| si_engine::UnitSpec {
             kind: "bench",
@@ -562,83 +516,57 @@ fn bench_store(samples: usize, out: &mut Vec<Measured>) {
             config_digest: 0,
         })
         .collect();
-    let base = std::env::temp_dir().join(format!("si-store-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-
-    let packed_dir = base.join("packed");
-    let packed = si_engine::PackStore::open(&packed_dir);
+    let dir = std::env::temp_dir().join(format!("si-store-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let packed = si_engine::PackStore::open(&dir);
     for spec in &specs {
         packed.store(spec, 1, &spec.trial.to_string());
     }
     packed.flush().expect("bench store flush");
     // Reopen so the timed lookups go through a store whose index was
     // built from disk, exactly like a daemon restarted over its packs.
-    let packed = si_engine::PackStore::open(&packed_dir);
-    out.push(measure(
+    // Lookups never touch the disk again, so the files can go now.
+    let packed = si_engine::PackStore::open(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    Tier::new(
         "store_lookup/warm_10k",
-        samples,
         STORE_UNITS as u64,
         "lookup",
-        || {
+        move || {
             let mut hits = 0usize;
             for spec in &specs {
                 hits += usize::from(packed.lookup(spec, 1).is_some());
             }
             assert_eq!(hits, STORE_UNITS);
         },
-    ));
-
-    let files_dir = base.join("files");
-    let files = si_engine::UnitCache::new(&files_dir);
-    for spec in &specs {
-        files
-            .store(spec, 1, &spec.trial.to_string())
-            .expect("bench file store");
-    }
-    out.push(measure(
-        "store_lookup_files/warm_10k",
-        samples,
-        STORE_UNITS as u64,
-        "lookup",
-        || {
-            let mut hits = 0usize;
-            for spec in &specs {
-                hits += usize::from(files.lookup(spec, 1).is_some());
-            }
-            assert_eq!(hits, STORE_UNITS);
-        },
-    ));
-    let _ = std::fs::remove_dir_all(&base);
+    )
 }
 
-fn bench_engine(samples: usize, out: &mut Vec<Measured>) {
-    // At least two workers, even on a one-core machine: `threads <= 1`
-    // short-circuits both executors into the same serial loop, which
-    // would bench nothing but the fallback.
-    let threads = std::thread::available_parallelism().map_or(2, |n| usize::from(n).max(2));
-    // Empty units: the measured cost is pure dispatch (claim, call,
-    // slot write, reassembly), the overhead every real grid pays per
-    // unit on top of its simulation work.
-    out.push(measure(
-        "engine_dispatch/empty_50k",
-        samples,
+/// Engine worker threads for the engine tiers: at least two, even on a
+/// one-core machine — `threads <= 1` short-circuits the scheduler into
+/// a serial loop, which would bench nothing but the fallback.
+fn engine_threads() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| usize::from(n).max(2))
+}
+
+/// Empty units through the scheduler: the measured cost is pure dispatch
+/// (claim, call, slot write, reassembly), the overhead every real grid
+/// pays per unit on top of its simulation work.
+fn dispatch_tier() -> Tier<'static> {
+    let threads = engine_threads();
+    Tier::new(
+        "engine_dispatch/empty_1m",
         DISPATCH_UNITS as u64,
         "unit",
-        || {
+        move || {
             let v = si_engine::scheduler::run_indexed(DISPATCH_UNITS, threads, |i| i as u64);
             assert_eq!(v.len(), DISPATCH_UNITS);
         },
-    ));
-    out.push(measure(
-        "engine_dispatch_mutex/empty_50k",
-        samples,
-        DISPATCH_UNITS as u64,
-        "unit",
-        || {
-            let v = mutex_collect_map(DISPATCH_UNITS, threads, |i| i as u64);
-            assert_eq!(v.len(), DISPATCH_UNITS);
-        },
-    ));
+    )
+}
+
+fn bench_engine(samples: usize, out: &mut Vec<Measured>) {
+    let threads = engine_threads();
     // Warm-cache splice: the untimed warmup pass executes and stores
     // every unit, so each timed sample hits a fully warm cache — the
     // cost `--cache` pays per unit it does not have to simulate.
@@ -654,9 +582,8 @@ fn bench_engine(samples: usize, out: &mut Vec<Measured>) {
             config_digest: 0,
         })
         .collect();
-    out.push(measure(
+    let tier = Tier::new(
         "engine_cache/warm_splice_2k",
-        samples,
         SPLICE_UNITS as u64,
         "unit",
         || {
@@ -669,7 +596,8 @@ fn bench_engine(samples: usize, out: &mut Vec<Measured>) {
             assert_eq!(v.len(), SPLICE_UNITS);
             assert_eq!(stats.executed + stats.cached, SPLICE_UNITS);
         },
-    ));
+    );
+    out.extend(measure_round_robin(samples, vec![tier]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -677,9 +605,11 @@ fn bench_trace(samples: usize, out: &mut Vec<Measured>) {
     let trace = si_workloads::SampleTrace::Mixed.decode();
     let config = MachineConfig::default();
     let budget = 30_000_000;
-    out.push(measure(
+    let digest = si_workloads::SampleTrace::Mixed.content_digest();
+    let warm_trace = si_workloads::SampleTrace::Mixed.decode_shared();
+    let mut tiers = Vec::new();
+    tiers.push(Tier::new(
         "trace_full/mixed",
-        samples,
         trace.total_instr,
         "instr",
         || {
@@ -694,9 +624,8 @@ fn bench_trace(samples: usize, out: &mut Vec<Measured>) {
     // full per-unit cost a sweep cell pays with the artifact cache
     // disabled — payload decode, the plan fast-forward, per-interval
     // machine warm-up, and the measured simulation.
-    out.push(measure(
+    tiers.push(Tier::new(
         "trace_sampled/mixed",
-        samples,
         trace.total_instr,
         "instr",
         || {
@@ -710,17 +639,14 @@ fn bench_trace(samples: usize, out: &mut Vec<Measured>) {
     // Warm tier: the same unit against a hot artifact cache — the
     // decoded trace, replay plan, and per-interval warm checkpoints are
     // all shared, so each call pays one checkpoint fork plus the
-    // simulation itself. measure()'s untimed warmup pass populates the
-    // cache; results are byte-identical to the cold tier by contract.
-    // 32 replays per sample: a single warm replay is tens of
-    // microseconds, so batching keeps the min-of-samples stable enough
-    // for the ratio gate.
+    // simulation itself. The untimed warmup pass populates the cache;
+    // results are byte-identical to the cold tier by contract. 32
+    // replays per sample: a single warm replay is tens of microseconds,
+    // so batching keeps the min-of-samples stable enough for the ratio
+    // gate.
     const WARM_REPS: u64 = 32;
-    let digest = si_workloads::SampleTrace::Mixed.content_digest();
-    let warm_trace = si_workloads::SampleTrace::Mixed.decode_shared();
-    out.push(measure(
+    tiers.push(Tier::new(
         "trace_sampled_warm/mixed",
-        samples,
         trace.total_instr * WARM_REPS,
         "instr",
         || {
@@ -737,6 +663,7 @@ fn bench_trace(samples: usize, out: &mut Vec<Measured>) {
             }
         },
     ));
+    out.extend(measure_round_robin(samples, tiers));
 }
 
 /// Micro-tiers for the artifact cache itself: the per-lookup cost of a
@@ -746,57 +673,88 @@ fn bench_artifact_cache(samples: usize, out: &mut Vec<Measured>) {
     const OPS: u64 = 10_000;
     let cache = si_engine::ArtifactCache::new();
     let _: std::sync::Arc<u64> = cache.get_or_build("bench", "hot", || 42);
-    out.push(measure(
-        "artifact_cache/hit",
-        samples,
-        OPS,
-        "lookup",
-        || {
-            for _ in 0..OPS {
-                let v: std::sync::Arc<u64> = cache.get_or_build("bench", "hot", || 42);
-                assert_eq!(*v, 42);
-            }
-        },
-    ));
-    out.push(measure(
-        "artifact_cache/miss",
-        samples,
-        OPS,
-        "lookup",
-        || {
-            let cold = si_engine::ArtifactCache::new();
-            for i in 0..OPS {
-                let v: std::sync::Arc<u64> = cold.get_or_build("bench", &format!("key-{i}"), || i);
-                assert_eq!(*v, i);
-            }
-        },
-    ));
+    let mut tiers = Vec::new();
+    tiers.push(Tier::new("artifact_cache/hit", OPS, "lookup", || {
+        for _ in 0..OPS {
+            let v: std::sync::Arc<u64> = cache.get_or_build("bench", "hot", || 42);
+            assert_eq!(*v, 42);
+        }
+    }));
+    tiers.push(Tier::new("artifact_cache/miss", OPS, "lookup", || {
+        let cold = si_engine::ArtifactCache::new();
+        for i in 0..OPS {
+            let v: std::sync::Arc<u64> = cold.get_or_build("bench", &format!("key-{i}"), || i);
+            assert_eq!(*v, i);
+        }
+    }));
+    out.extend(measure_round_robin(samples, tiers));
 }
 
-fn speedup_ratios<'a>(
-    benches: &'a [Measured],
-    slow_prefix: &str,
-    fast_prefix: &str,
-) -> Option<(f64, Vec<(&'a str, f64)>)> {
-    let mut per_pair = Vec::new();
-    for fast in benches.iter().filter(|b| b.id.starts_with(fast_prefix)) {
-        let suffix = &fast.id[fast_prefix.len()..];
-        let slow_id = format!("{slow_prefix}{suffix}");
-        if let Some(slow) = benches.iter().find(|b| b.id == slow_id) {
+/// The calibration kernel's tier id.
+const CALIB_ID: &str = "calib/int_loop";
+
+/// Iterations of the calibration kernel per sample (~3 ms).
+const CALIB_ITERS: u64 = 1 << 20;
+
+/// Rounds of the calibration-gated tiers (about a second in all).
+const CALIB_ROUNDS: usize = 64;
+
+/// The calibration kernel: a fixed xorshift stream folded into an
+/// accumulator. Pure integer work — no memory traffic, no allocation, no
+/// simulator code — so its time tracks only the host CPU.
+fn calib_tier() -> Tier<'static> {
+    Tier::new(CALIB_ID, CALIB_ITERS, "iter", || {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut acc = 0u64;
+        for _ in 0..std::hint::black_box(CALIB_ITERS) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            acc = acc.wrapping_add(x);
+        }
+        std::hint::black_box(acc);
+    })
+}
+
+/// The gated ratios: `(name, reference, measured prefix)`, each the
+/// geomean over the measured tiers of *reference min ÷ tier min*. A
+/// reference ending in `/` pairs each measured tier with the reference
+/// tier of the same suffix; any other reference is one tier divided by
+/// every measured tier (the calibration kernel).
+#[rustfmt::skip]
+const RATIOS: [(&str, &str, &str); 7] = [
+    ("policy_flat_over_calib", CALIB_ID, "policy_flat/"),
+    ("pipeline_advance_over_step", "pipeline_step/", "pipeline_advance/"),
+    ("engine_dispatch_over_calib", CALIB_ID, "engine_dispatch/"),
+    ("trial_fork_over_scratch", "trial_scratch/", "trial_fork/"),
+    ("store_lookup_over_calib", CALIB_ID, "store_lookup/"),
+    ("trace_sampled_over_full", "trace_full/", "trace_sampled/"),
+    ("trace_warm_over_cold", "trace_sampled/", "trace_sampled_warm/"),
+];
+
+/// One [`RATIOS`] row's value, or `None` when no tier pairs up.
+fn speedup(benches: &[Measured], reference: &str, prefix: &str) -> Option<f64> {
+    let ratios: Vec<f64> = benches
+        .iter()
+        .filter(|b| b.id.starts_with(prefix))
+        .filter_map(|tier| {
+            let reference_id = if reference.ends_with('/') {
+                format!("{reference}{}", &tier.id[prefix.len()..])
+            } else {
+                reference.to_owned()
+            };
+            let reference = benches.iter().find(|b| b.id == reference_id)?;
             // Ratio of minima: on a noisy shared machine the best observed
             // sample approximates the undisturbed cost far better than the
             // mean, which soaks up scheduler interference.
-            per_pair.push((
-                fast.id.as_str(),
-                slow.min_ns as f64 / fast.min_ns.max(1) as f64,
-            ));
-        }
-    }
-    if per_pair.is_empty() {
+            Some(reference.min_ns as f64 / tier.min_ns.max(1) as f64)
+        })
+        .collect();
+    if ratios.is_empty() {
         return None;
     }
-    let log_sum: f64 = per_pair.iter().map(|(_, r)| r.ln()).sum();
-    Some(((log_sum / per_pair.len() as f64).exp(), per_pair))
+    let log_sum: f64 = ratios.iter().map(|r| r.ln()).sum();
+    Some((log_sum / ratios.len() as f64).exp())
 }
 
 /// Runs the benchmark suite and returns the `BENCH_baseline.json` document.
@@ -808,49 +766,27 @@ pub fn run_benches(quick: bool) -> Json {
     // bench that the ratio-of-minima stays stable: the CI gate compares
     // quick-mode ratios against the committed baseline, so quick-mode
     // variance directly sets the gate's false-positive rate.
-    let (policy_samples, pipeline_samples, trial_samples, engine_samples) = if quick {
-        (10, 8, 2, 16)
-    } else {
-        (30, 10, 6, 16)
-    };
-    let mut benches = Vec::new();
-    bench_policies(policy_samples, &mut benches);
+    let (pipeline_samples, trial_samples, engine_samples) =
+        if quick { (8, 8, 16) } else { (10, 16, 16) };
+    // The calibration-gated tiers are cheap: the same rounds in both
+    // modes.
+    let mut gated = vec![calib_tier()];
+    gated.extend(policy_tiers());
+    gated.push(dispatch_tier());
+    gated.push(store_tier());
+    let mut benches = measure_round_robin(CALIB_ROUNDS, gated);
     bench_pipeline(pipeline_samples, &mut benches);
     bench_trials(trial_samples, &mut benches);
     bench_checkpoint(engine_samples, &mut benches);
     bench_engine(engine_samples, &mut benches);
-    bench_store(engine_samples, &mut benches);
     bench_trace(engine_samples, &mut benches);
     bench_artifact_cache(engine_samples, &mut benches);
 
     let mut speedups = obj([]);
-    if let Some((geomean, pairs)) = speedup_ratios(&benches, "policy_boxed/", "policy_flat/") {
-        let mut details = obj([]);
-        for (id, r) in pairs {
-            details.push(id.trim_start_matches("policy_flat/"), Json::from(r));
+    for (name, reference, prefix) in RATIOS {
+        if let Some(ratio) = speedup(&benches, reference, prefix) {
+            speedups.push(name, Json::from(ratio));
         }
-        speedups.push("policy_flat_over_boxed_geomean", Json::from(geomean));
-        speedups.push("policy_flat_over_boxed", details);
-    }
-    if let Some((geomean, _)) = speedup_ratios(&benches, "pipeline_step/", "pipeline_advance/") {
-        speedups.push("pipeline_advance_over_step", Json::from(geomean));
-    }
-    if let Some((geomean, _)) =
-        speedup_ratios(&benches, "engine_dispatch_mutex/", "engine_dispatch/")
-    {
-        speedups.push("engine_dispatch_over_mutex", Json::from(geomean));
-    }
-    if let Some((geomean, _)) = speedup_ratios(&benches, "trial_scratch/", "trial_fork/") {
-        speedups.push("trial_fork_over_scratch", Json::from(geomean));
-    }
-    if let Some((geomean, _)) = speedup_ratios(&benches, "store_lookup_files/", "store_lookup/") {
-        speedups.push("store_lookup_over_files", Json::from(geomean));
-    }
-    if let Some((geomean, _)) = speedup_ratios(&benches, "trace_full/", "trace_sampled/") {
-        speedups.push("trace_sampled_over_full", Json::from(geomean));
-    }
-    if let Some((geomean, _)) = speedup_ratios(&benches, "trace_sampled/", "trace_sampled_warm/") {
-        speedups.push("trace_warm_over_cold", Json::from(geomean));
     }
 
     obj([
@@ -874,11 +810,9 @@ mod tests {
         obj([(
             "speedups",
             obj([
-                ("policy_flat_over_boxed_geomean", Json::from(geomean)),
-                (
-                    "policy_flat_over_boxed",
-                    obj([("lru", Json::from(geomean))]),
-                ),
+                ("policy_flat_over_calib", Json::from(geomean)),
+                // A nested object: the gate compares every numeric leaf.
+                ("per_policy", obj([("lru", Json::from(geomean))])),
                 ("pipeline_advance_over_step", Json::from(advance)),
             ]),
         )])
@@ -897,7 +831,7 @@ mod tests {
         // 15% down on one ratio: warn, still passing.
         let cmp = compare_speedups(&bench_doc(2.0 * 0.85, 2.7), &bench_doc(2.0, 2.7)).unwrap();
         assert!(cmp.passed());
-        assert_eq!(cmp.warnings.len(), 2, "geomean + nested lru");
+        assert_eq!(cmp.warnings.len(), 2, "top-level + nested lru");
         // 30% down: fail.
         let cmp = compare_speedups(&bench_doc(2.0, 2.7 * 0.7), &bench_doc(2.0, 2.7)).unwrap();
         assert!(!cmp.passed());
@@ -925,7 +859,7 @@ mod tests {
             doc
         };
         let baseline = with_tiers(&["trial_e2e/a", "trial_fork/a", "checkpoint_restore/fork"]);
-        let current = with_tiers(&["trial_e2e/a", "batched_trials/x8"]);
+        let current = with_tiers(&["trial_e2e/a", "calib/int_loop"]);
         let cmp = compare_speedups(&current, &baseline).unwrap();
         assert!(!cmp.passed());
         assert_eq!(
@@ -933,7 +867,7 @@ mod tests {
             ["checkpoint_restore/fork", "trial_fork/a"],
             "sorted baseline-only tiers"
         );
-        assert_eq!(cmp.new_tiers, ["batched_trials/x8"]);
+        assert_eq!(cmp.new_tiers, ["calib/int_loop"]);
         assert!(
             cmp.failures.iter().any(|f| f.contains("trial_fork/a")),
             "{:?}",
@@ -972,9 +906,9 @@ mod tests {
             other => panic!("benches not an array: {other:?}"),
         }
         let speedups = parsed.get("speedups").expect("speedups present");
-        assert!(speedups.get("policy_flat_over_boxed_geomean").is_some());
-        assert!(speedups.get("pipeline_advance_over_step").is_some());
-        assert!(speedups.get("engine_dispatch_over_mutex").is_some());
+        for (name, _, _) in RATIOS {
+            assert!(speedups.get(name).is_some(), "{name} missing");
+        }
         let ids: Vec<&str> = match parsed.get("benches") {
             Some(Json::Arr(items)) => items
                 .iter()
@@ -986,8 +920,8 @@ mod tests {
             _ => Vec::new(),
         };
         for required in [
-            "engine_dispatch/empty_50k",
-            "engine_dispatch_mutex/empty_50k",
+            CALIB_ID,
+            "engine_dispatch/empty_1m",
             "engine_cache/warm_splice_2k",
         ] {
             assert!(ids.contains(&required), "{required} missing");

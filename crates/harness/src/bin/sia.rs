@@ -23,11 +23,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use si_engine::{ArtifactCache, PackStore};
-use si_harness::attack::{run_attack_grid, run_attack_grid_batched, AttackGrid, ATTACK_GRID_NAMES};
+use si_harness::attack::ATTACK_GRID_NAMES;
+use si_harness::job::{parse_seed, walk_args, JobSpec, Verb};
 use si_harness::json::{parse, Json};
 use si_harness::render::{render_report, splice_report, REPORT_BEGIN, REPORT_END};
-use si_harness::scan::{run_scan, ScanJob};
-use si_harness::sweep::{run_sweep, GridSpec, GRID_NAMES};
+use si_harness::sweep::GRID_NAMES;
 use si_harness::{
     parse_scheme, registry, run_experiment_engine, Engine, ExecStats, Experiment, RunConfig,
     CACHE_DEFAULT_DIR, CODE_EPOCH,
@@ -40,9 +40,9 @@ USAGE:
     sia list
     sia run <EXPERIMENT>... [OPTIONS]
     sia run --all [OPTIONS]
-    sia sweep [SWEEP OPTIONS]
-    sia attack [ATTACK OPTIONS]
-    sia scan [SCAN OPTIONS]
+    sia sweep [JOB OPTIONS]
+    sia attack [JOB OPTIONS]
+    sia scan [JOB OPTIONS]
     sia serve [SERVE OPTIONS]
     sia cache stats|clear [--dir <DIR>]
     sia report [PATH...] [REPORT OPTIONS]
@@ -64,59 +64,42 @@ RUN OPTIONS:
     --no-wall-time     omit wall_time_ms from result files (bit-stable output)
     -h, --help         show this help
 
-SWEEP OPTIONS:
-    --grid <NAME>      grid to run: defense (default), schemes, geometry,
-                       noise, full, trace
-    --filter <A=V,..>  restrict an axis (repeatable); axes: scheme, workload,
-                       geometry, noise, predictor. Scheme values match as
-                       family prefixes: --filter scheme=dom,fence
-    --quick            CI smoke: scale 16, one trial per cell
-    --scale <N>        workload problem scale override
-    --trials <N>       trials per cell override
-    --threads/--seed   as for run
+JOB OPTIONS (sweep, attack, scan; `sia serve` reads the same keys from a
+JSON body, where --no-checkpoint is no_checkpoint and repeated --filter
+flags are one filters array):
+    --grid <NAME>      sweep: defense (default), schemes, geometry, noise,
+                       full, trace; attack: headline (default), geometry,
+                       noise, full
+    --filter <A=V,..>  sweep, attack: restrict an axis (repeatable). Sweep
+                       axes: scheme, workload, geometry, noise, predictor;
+                       attack axes: scheme, variant, geometry, noise. Scheme
+                       values match as family prefixes (--filter
+                       scheme=dom,fence); unknown values list the axis's
+                       valid values in the error
+    --quick            CI smoke, same cells: sweep at scale 16 with one
+                       trial per cell; attack and scan at six trials per cell
+    --scale <N>        sweep: workload problem scale override
+    --trials <N>       trials per cell override (attack, scan: secret bits
+                       per cell; the scan's default is 12)
+    --horizon <N>      scan: speculative-window horizon in instructions
+                       (default 128, the ROB depth)
+    --no-checkpoint    attack: force every trial onto the from-scratch path
+                       instead of forking the per-cell machine checkpoint;
+                       output is byte-identical either way (the differential
+                       CI step diffs the two to prove it)
+    --seed/--threads   as for run
     --cache            execute only units whose spec changed; splice the rest
-                       from the cache (output stays byte-identical)
+                       from the cache (output stays byte-identical). The scan
+                       caches its confirm trials; its static stage always runs
     --cache-dir <DIR>  cache location (default: results/.cache; implies --cache)
-    --out <FILE>       output file (default: results/sweep-<grid>.json)
+    --out <FILE>       output file (default: results/<verb>-<grid>.json, and
+                       results/scan-corpus.json for the scan)
     --print            also print the result document to stdout
     --no-wall-time     omit wall_time_ms (bit-stable output)
-    --no-artifact-cache  disable the in-process artifact cache (shared
+    --no-artifact-cache  sweep: disable the in-process artifact cache (shared
                        decoded traces, replay plans, warm checkpoints);
                        output is byte-identical either way — the trace
                        CI job diffs the two to prove it
-
-ATTACK OPTIONS:
-    --grid <NAME>      grid to run: headline (default), geometry, noise, full
-    --filter <A=V,..>  restrict an axis (repeatable); axes: scheme, variant,
-                       geometry, noise. Unknown values list the axis's
-                       valid values in the error
-    --quick            CI smoke: six trials per cell, same cells
-    --trials <N>       secret bits per cell override
-    --no-checkpoint    force every trial onto the from-scratch path instead
-                       of forking the per-cell machine checkpoint; output
-                       is byte-identical either way (the differential CI
-                       job diffs the two to prove it)
-    --batch <N>        batched trial mode: dispatch trials in per-cell
-                       batches of N through the struct-of-arrays executor
-                       (no unit engine; incompatible with --cache); output
-                       is byte-identical to the engine path
-    --threads/--seed   as for run
-    --cache/--cache-dir  as for sweep
-    --out <FILE>       output file (default: results/attack-<grid>.json)
-    --print            also print the result document to stdout
-    --no-wall-time     omit wall_time_ms (bit-stable output)
-
-SCAN OPTIONS:
-    --quick            CI smoke: six confirm trials per cell, same corpus
-    --trials <N>       secret bits per confirm cell override (default 12)
-    --horizon <N>      speculative-window horizon in instructions
-                       (default 128, the ROB depth)
-    --threads/--seed   as for run
-    --cache/--cache-dir  as for sweep (caches the confirm bit-trials;
-                       the static scan itself is cheap and always runs)
-    --out <FILE>       output file (default: results/scan-corpus.json)
-    --print            also print the result document to stdout
-    --no-wall-time     omit wall_time_ms (bit-stable output)
 
 SERVE OPTIONS:
     --addr <A>         bind address (default: 127.0.0.1:8787; port 0 picks
@@ -133,8 +116,6 @@ SERVE OPTIONS:
 
 CACHE OPTIONS:
     stats              entry count and total bytes of the packed unit store
-                       (opening also migrates legacy one-file-per-unit
-                       entries into pack segments)
     clear              delete every stored unit outcome
     --dir <DIR>        store location (default: results/.cache)
 
@@ -176,14 +157,12 @@ TRACE OPTIONS (see docs/TRACE_FORMAT.md for the .sit wire format):
                                  fixture (default traces/example.sit)
 ";
 
-/// Parses a `--seed` value: decimal or `0x`-prefixed hex. Shared by
-/// `run` and `sweep` so the accepted syntax can never diverge.
-fn parse_seed(text: &str) -> Result<u64, String> {
-    match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    }
-    .map_err(|e| format!("--seed: {e}"))
+/// Parses a numeric flag value, naming the flag in the error.
+fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Parses a `--threads` value — the one thread policy every verb shares:
@@ -202,7 +181,7 @@ fn default_threads() -> usize {
 /// The `--cache`/`--cache-dir` pair every executing verb shares.
 #[derive(Clone, Default)]
 struct CacheArgs {
-    enabled: bool,
+    /// The store directory, when caching is on.
     dir: Option<String>,
 }
 
@@ -211,14 +190,11 @@ impl CacheArgs {
     fn accept(
         &mut self,
         arg: &str,
-        value: &mut dyn FnMut(&str) -> Result<String, String>,
+        value: &mut dyn FnMut() -> Result<String, String>,
     ) -> Result<bool, String> {
         match arg {
-            "--cache" => self.enabled = true,
-            "--cache-dir" => {
-                self.dir = Some(value("--cache-dir")?);
-                self.enabled = true;
-            }
+            "--cache" => _ = self.dir.get_or_insert_with(|| CACHE_DEFAULT_DIR.to_owned()),
+            "--cache-dir" => self.dir = Some(value()?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -226,11 +202,9 @@ impl CacheArgs {
 
     /// Builds the engine this verb executes through.
     fn engine(&self, threads: usize) -> Engine {
-        if self.enabled {
-            let dir = self.dir.clone().unwrap_or(CACHE_DEFAULT_DIR.to_owned());
-            Engine::with_cache(threads, CODE_EPOCH, dir)
-        } else {
-            Engine::new(threads)
+        match &self.dir {
+            Some(dir) => Engine::with_cache(threads, CODE_EPOCH, dir),
+            None => Engine::new(threads),
         }
     }
 }
@@ -263,39 +237,28 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         print: false,
         wall_time: true,
     };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        if args.cache.accept(arg, &mut value)? {
-            continue;
+    walk_args(argv, |arg, value| {
+        if args.cache.accept(arg, value)? {
+            return Ok(());
         }
-        match arg.as_str() {
+        match arg {
             "--all" => args.all = true,
-            "--trials" => {
-                args.cfg.trials = Some(
-                    value("--trials")?
-                        .parse()
-                        .map_err(|e| format!("--trials: {e}"))?,
-                );
-            }
-            "--threads" => args.cfg.threads = parse_threads(&value("--threads")?)?,
-            "--seed" => args.cfg.seed = parse_seed(&value("--seed")?)?,
+            "--trials" => args.cfg.trials = Some(parse_num(arg, &value()?)?),
+            "--threads" => args.cfg.threads = parse_threads(&value()?)?,
+            "--seed" => args.cfg.seed = parse_seed(arg, &value()?)?,
             "--scheme" => {
-                let text = value("--scheme")?;
+                let text = value()?;
                 args.cfg.scheme =
                     Some(parse_scheme(&text).ok_or_else(|| format!("unknown scheme '{text}'"))?);
             }
-            "--out" => args.out_dir = value("--out")?,
+            "--out" => args.out_dir = value()?,
             "--print" => args.print = true,
             "--no-wall-time" => args.wall_time = false,
             flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
             id => args.ids.push(id.to_owned()),
         }
-    }
+        Ok(())
+    })?;
     Ok(args)
 }
 
@@ -345,25 +308,46 @@ fn summary_line(envelope: &Json) -> String {
     }
 }
 
+/// Writes `bytes` to `path`, creating its directory first.
+fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+    {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
+}
+
+/// Stamps the wall time (`None` under `--no-wall-time`), validates, and
+/// writes one result document; `print` also echoes it. Validating before
+/// writing makes a malformed document fail the run instead of poisoning
+/// downstream consumers.
+fn write_doc(doc: &mut Json, wall_ms: Option<u128>, path: &str, print: bool) -> Result<(), String> {
+    if let Some(ms) = wall_ms {
+        doc.push("wall_time_ms", Json::from(ms as u64));
+    }
+    let text = doc.to_pretty();
+    parse(&text).map_err(|e| format!("emitted malformed JSON: {e}"))?;
+    write_file(path, text.as_bytes())?;
+    if print {
+        print!("{text}");
+    }
+    Ok(())
+}
+
 fn run_one(exp: &dyn Experiment, args: &Args, engine: &Engine) -> Result<ExecStats, String> {
     let start = Instant::now();
     let (outcome, stats) = run_experiment_engine(exp, &args.cfg, engine);
     let mut envelope = outcome?;
     let wall_ms = start.elapsed().as_millis();
-    if args.wall_time {
-        envelope.push("wall_time_ms", Json::from(wall_ms as u64));
-    }
-    let text = envelope.to_pretty();
-    // Validate before writing: a malformed document is a harness bug and
-    // must fail the run, not poison downstream consumers.
-    parse(&text).map_err(|e| format!("emitted malformed JSON: {e}"))?;
     let path = format!("{}/{}.json", args.out_dir, exp.id());
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| format!("creating {}: {e}", args.out_dir))?;
-    std::fs::write(&path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-    if args.print {
-        print!("{text}");
-    }
+    write_doc(
+        &mut envelope,
+        args.wall_time.then_some(wall_ms),
+        &path,
+        args.print,
+    )?;
     println!(
         "{:<16} {}  {:>7}ms  {}  -> {}",
         exp.id(),
@@ -414,7 +398,7 @@ fn cmd_run(args: &Args) -> ExitCode {
             }
         }
     }
-    if args.cache.enabled {
+    if args.cache.dir.is_some() {
         println!("engine           {}", stats_note(&totals));
     }
     if failures > 0 {
@@ -425,316 +409,64 @@ fn cmd_run(args: &Args) -> ExitCode {
     }
 }
 
-/// Options shared by the grid-shaped verbs (`sweep`, `attack`).
-struct GridArgs {
-    grid_name: String,
-    filters: Vec<String>,
-    quick: bool,
-    scale: Option<usize>,
-    trials: Option<usize>,
-    threads: usize,
-    seed: u64,
-    cache: CacheArgs,
-    out: Option<String>,
-    print: bool,
-    wall_time: bool,
-    no_checkpoint: bool,
-    no_artifact_cache: bool,
-    batch: Option<usize>,
-}
-
-/// Parses the sweep/attack option set. `verb` labels errors;
-/// `allow_scale` gates the sweep-only `--scale` knob.
-fn parse_grid_args(
-    argv: &[String],
-    verb: &str,
-    default_grid: &str,
-    allow_scale: bool,
-) -> Result<GridArgs, String> {
-    let mut args = GridArgs {
-        grid_name: default_grid.to_owned(),
-        filters: Vec::new(),
-        quick: false,
-        scale: None,
-        trials: None,
-        threads: default_threads(),
-        seed: RunConfig::default().seed,
-        cache: CacheArgs::default(),
-        out: None,
-        print: false,
-        wall_time: true,
-        no_checkpoint: false,
-        no_artifact_cache: false,
-        batch: None,
-    };
-    let attack_verb = verb == "attack";
-    let sweep_verb = verb == "sweep";
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        if args.cache.accept(arg, &mut value)? {
-            continue;
+/// `sia sweep|attack|scan`: the job itself comes from
+/// [`JobSpec::from_argv`] — the same key table `sia serve` reads POST
+/// bodies with — and the process flags (threads, cache, output) are
+/// handled here.
+fn cmd_job(verb: Verb, argv: &[String]) -> Result<ExitCode, String> {
+    let mut threads = default_threads();
+    let mut cache = CacheArgs::default();
+    let mut out: Option<String> = None;
+    let mut print = false;
+    let mut wall_time = true;
+    let mut no_artifact_cache = false;
+    let job = JobSpec::from_argv(verb, argv, RunConfig::default().seed, |flag, value| {
+        if cache.accept(flag, value)? {
+            return Ok(true);
         }
-        match arg.as_str() {
-            "--grid" => args.grid_name = value("--grid")?,
-            "--filter" => args.filters.push(value("--filter")?),
-            "--quick" => args.quick = true,
-            "--scale" if allow_scale => {
-                args.scale = Some(
-                    value("--scale")?
-                        .parse()
-                        .map_err(|e| format!("--scale: {e}"))?,
-                );
-            }
-            "--trials" => {
-                args.trials = Some(
-                    value("--trials")?
-                        .parse()
-                        .map_err(|e| format!("--trials: {e}"))?,
-                );
-            }
-            "--no-checkpoint" if attack_verb => args.no_checkpoint = true,
-            "--no-artifact-cache" if sweep_verb => args.no_artifact_cache = true,
-            "--batch" if attack_verb => {
-                let n: usize = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if n == 0 {
-                    return Err("--batch needs a batch size of at least 1".into());
-                }
-                args.batch = Some(n);
-            }
-            "--threads" => args.threads = parse_threads(&value("--threads")?)?,
-            "--seed" => args.seed = parse_seed(&value("--seed")?)?,
-            "--out" => args.out = Some(value("--out")?),
-            "--print" => args.print = true,
-            "--no-wall-time" => args.wall_time = false,
-            other => return Err(format!("unknown {verb} option '{other}'")),
+        match flag {
+            "--threads" => threads = parse_threads(&value()?)?,
+            "--out" => out = Some(value()?),
+            "--print" => print = true,
+            "--no-wall-time" => wall_time = false,
+            // A process-wide toggle, so a flag rather than a job key.
+            "--no-artifact-cache" if verb == Verb::Sweep => no_artifact_cache = true,
+            _ => return Ok(false),
         }
-    }
-    Ok(args)
-}
-
-/// Validates, writes, and announces one grid-verb result document.
-fn emit_grid_doc(
-    verb: &str,
-    grid_name: &str,
-    mut envelope: Json,
-    stats: &ExecStats,
-    wall_ms: u128,
-    args: &GridArgs,
-    path: &str,
-) -> Result<(), String> {
-    if args.wall_time {
-        envelope.push("wall_time_ms", Json::from(wall_ms as u64));
-    }
-    let text = envelope.to_pretty();
-    parse(&text).map_err(|e| format!("emitted malformed JSON: {e}"))?;
-    if let Some(dir) = std::path::Path::new(path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    }
-    std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-    if args.print {
-        print!("{text}");
-    }
+        Ok(true)
+    })?;
+    let path = out.unwrap_or_else(|| format!("results/{}.json", job.stem()));
+    // The artifact cache only changes wall-clock time, never results
+    // (a CI job diffs cached vs uncached sweeps to prove it).
+    ArtifactCache::global().set_enabled(!no_artifact_cache);
+    let start = Instant::now();
+    let (mut envelope, stats) = job.run(&cache.engine(threads))?;
+    let wall_ms = start.elapsed().as_millis();
+    write_doc(&mut envelope, wall_time.then_some(wall_ms), &path, print)?;
     println!(
-        "{verb}:{:<10} ok  {:>7}ms  {}  {}  -> {}",
-        grid_name,
+        "{}:{:<10} ok  {:>7}ms  {}  {}  -> {}",
+        verb.name(),
+        job.name(),
         wall_ms,
-        stats_note(stats),
+        stats_note(&stats),
         summary_line(&envelope),
         path
     );
-    Ok(())
-}
-
-fn cmd_sweep(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_grid_args(argv, "sweep", "defense", true)?;
-    let mut grid = GridSpec::named(&args.grid_name)?;
-    if args.quick {
-        grid.quick();
-    }
-    for f in &args.filters {
-        grid.apply_filter(f)?;
-    }
-    if let Some(s) = args.scale {
-        grid.scale = s;
-    }
-    if let Some(t) = args.trials {
-        grid.trials = t;
-    }
-    let path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("results/sweep-{}.json", args.grid_name));
-    // The artifact cache only changes wall-clock time, never results
-    // (a CI job diffs cached vs uncached sweeps to prove it).
-    ArtifactCache::global().set_enabled(!args.no_artifact_cache);
-    let start = Instant::now();
-    let (envelope, stats) = run_sweep(&grid, args.seed, &args.cache.engine(args.threads))?;
-    emit_grid_doc(
-        "sweep",
-        &args.grid_name,
-        envelope,
-        &stats,
-        start.elapsed().as_millis(),
-        &args,
-        &path,
-    )?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_attack(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_grid_args(argv, "attack", "headline", false)?;
-    let mut grid = AttackGrid::named(&args.grid_name)?;
-    if args.quick {
-        grid.quick();
-    }
-    for f in &args.filters {
-        grid.apply_filter(f)?;
-    }
-    if let Some(t) = args.trials {
-        grid.trials = t;
-    }
-    grid.disable_checkpoint = args.no_checkpoint;
-    if args.batch.is_some() && args.cache.enabled {
-        return Err("--batch bypasses the unit engine and cannot be combined with --cache".into());
-    }
-    let path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("results/attack-{}.json", args.grid_name));
-    let start = Instant::now();
-    let (envelope, stats) = match args.batch {
-        Some(batch) => run_attack_grid_batched(&grid, args.seed, args.threads, batch)?,
-        None => run_attack_grid(&grid, args.seed, &args.cache.engine(args.threads))?,
-    };
-    emit_grid_doc(
-        "attack",
-        &args.grid_name,
-        envelope,
-        &stats,
-        start.elapsed().as_millis(),
-        &args,
-        &path,
-    )?;
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `sia scan` — static gadget scan over the committed corpus plus
-/// engine-backed dynamic confirmation of every confirmable finding class.
-fn cmd_scan(argv: &[String]) -> Result<ExitCode, String> {
-    let mut job = ScanJob::standard();
-    let mut quick = false;
-    let mut trials: Option<usize> = None;
-    let mut horizon: Option<usize> = None;
-    // Only the shared emit/engine knobs of GridArgs apply to scan; the
-    // grid-shaped fields stay at their defaults.
-    let mut args = GridArgs {
-        grid_name: "corpus".to_owned(),
-        filters: Vec::new(),
-        quick: false,
-        scale: None,
-        trials: None,
-        threads: default_threads(),
-        seed: RunConfig::default().seed,
-        cache: CacheArgs::default(),
-        out: None,
-        print: false,
-        wall_time: true,
-        no_checkpoint: false,
-        no_artifact_cache: false,
-        batch: None,
-    };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        if args.cache.accept(arg, &mut value)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--trials" => {
-                trials = Some(
-                    value("--trials")?
-                        .parse()
-                        .map_err(|e| format!("--trials: {e}"))?,
-                );
-            }
-            "--horizon" => {
-                let n: usize = value("--horizon")?
-                    .parse()
-                    .map_err(|e| format!("--horizon: {e}"))?;
-                if n == 0 {
-                    return Err("--horizon needs a window depth of at least 1".into());
-                }
-                horizon = Some(n);
-            }
-            "--threads" => args.threads = parse_threads(&value("--threads")?)?,
-            "--seed" => args.seed = parse_seed(&value("--seed")?)?,
-            "--out" => args.out = Some(value("--out")?),
-            "--print" => args.print = true,
-            "--no-wall-time" => args.wall_time = false,
-            other => return Err(format!("unknown scan option '{other}'")),
-        }
-    }
-    if quick {
-        job.quick();
-    }
-    if let Some(t) = trials {
-        job.trials = t;
-    }
-    if let Some(h) = horizon {
-        job.horizon = h;
-    }
-    let path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "results/scan-corpus.json".to_owned());
-    let start = Instant::now();
-    let (envelope, stats) = run_scan(&job, args.seed, &args.cache.engine(args.threads))?;
-    emit_grid_doc(
-        "scan",
-        "corpus",
-        envelope,
-        &stats,
-        start.elapsed().as_millis(),
-        &args,
-        &path,
-    )?;
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `sia cache stats|clear` — inspects or empties the packed unit store
-/// (opening migrates any legacy one-file-per-unit entries into pack
-/// segments first, so the numbers cover everything).
+/// `sia cache stats|clear` — inspects or empties the packed unit store.
 fn cmd_cache(argv: &[String]) -> Result<ExitCode, String> {
     let mut action: Option<String> = None;
     let mut dir = CACHE_DEFAULT_DIR.to_owned();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--dir" => {
-                dir = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| "--dir needs a value".to_owned())?;
-            }
-            "stats" | "clear" if action.is_none() => action = Some(arg.clone()),
+    walk_args(argv, |arg, value| {
+        match arg {
+            "--dir" => dir = value()?,
+            "stats" | "clear" if action.is_none() => action = Some(arg.to_owned()),
             other => return Err(format!("unknown cache option '{other}'")),
         }
-    }
+        Ok(())
+    })?;
     let store = PackStore::open(&dir);
     match action.as_deref() {
         Some("stats") => {
@@ -760,21 +492,16 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
     let mut threads = default_threads();
     let mut seed = RunConfig::default().seed;
     let mut dir = CACHE_DEFAULT_DIR.to_owned();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--threads" => threads = parse_threads(&value("--threads")?)?,
-            "--seed" => seed = parse_seed(&value("--seed")?)?,
-            "--store-dir" => dir = value("--store-dir")?,
+    walk_args(argv, |arg, value| {
+        match arg {
+            "--addr" => addr = value()?,
+            "--threads" => threads = parse_threads(&value()?)?,
+            "--seed" => seed = parse_seed(arg, &value()?)?,
+            "--store-dir" => dir = value()?,
             other => return Err(format!("unknown serve option '{other}'")),
         }
-    }
+        Ok(())
+    })?;
     let engine = Engine::with_cache(threads, CODE_EPOCH, &dir);
     let handle = si_harness::serve::start(&addr, engine, seed)?;
     install_shutdown_signals(&handle.shutdown);
@@ -858,21 +585,16 @@ fn cmd_report(argv: &[String]) -> Result<ExitCode, String> {
     let mut out: Option<String> = None;
     let mut update: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--out" => out = Some(value("--out")?),
-            "--update" => update = Some(value("--update")?),
-            "--check" => check = Some(value("--check")?),
+    walk_args(argv, |arg, value| {
+        match arg {
+            "--out" => out = Some(value()?),
+            "--update" => update = Some(value()?),
+            "--check" => check = Some(value()?),
             flag if flag.starts_with('-') => return Err(format!("unknown report option '{flag}'")),
             path => paths.push(path.to_owned()),
         }
-    }
+        Ok(())
+    })?;
     if paths.is_empty() {
         paths.push("results".to_owned());
     }
@@ -913,38 +635,19 @@ fn cmd_report(argv: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_bench(argv: &[String]) -> ExitCode {
+fn cmd_bench(argv: &[String]) -> Result<ExitCode, String> {
     let mut quick = false;
     let mut out = si_harness::bench::BENCH_DEFAULT_PATH.to_owned();
     let mut against: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| match it.next() {
-            Some(v) => Ok(v.clone()),
-            None => Err(format!("{name} needs a value")),
-        };
-        match arg.as_str() {
+    walk_args(argv, |arg, value| {
+        match arg {
             "--quick" => quick = true,
-            "--out" => match value("--out") {
-                Ok(v) => out = v,
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--against" => match value("--against") {
-                Ok(v) => against = Some(v),
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("error: unknown bench option '{other}'\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            "--out" => out = value()?,
+            "--against" => against = Some(value()?),
+            other => return Err(format!("unknown bench option '{other}'")),
         }
-    }
+        Ok(())
+    })?;
     // Load the baseline *before* running or writing anything: with the
     // default --out, the output path IS the baseline file, and reading
     // it afterwards would compare the run against itself (and clobber
@@ -957,7 +660,7 @@ fn cmd_bench(argv: &[String]) -> ExitCode {
             Ok(doc) => Some(doc),
             Err(e) => {
                 eprintln!("bench --against  FAILED: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
         None => None,
@@ -967,11 +670,11 @@ fn cmd_bench(argv: &[String]) -> ExitCode {
     let text = doc.to_pretty();
     if let Err(e) = parse(&text) {
         eprintln!("bench            FAILED: emitted malformed JSON: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if let Err(e) = std::fs::write(&out, &text) {
         eprintln!("bench            FAILED: writing {out}: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let speedups = doc
         .get("speedups")
@@ -984,9 +687,9 @@ fn cmd_bench(argv: &[String]) -> ExitCode {
         out
     );
     if let (Some(baseline), Some(path)) = (baseline, against) {
-        return bench_regression_gate(&doc, &baseline, &path);
+        return Ok(bench_regression_gate(&doc, &baseline, &path));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `sia bench --against` perf-regression gate: compares this run's
@@ -1044,16 +747,6 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
     use si_trace::{RecordConfig, TraceFile};
     use si_workloads::WorkloadKind;
 
-    fn write_trace(path: &str, bytes: &[u8]) -> Result<(), String> {
-        if let Some(dir) = std::path::Path::new(path)
-            .parent()
-            .filter(|d| !d.as_os_str().is_empty())
-        {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
-    }
-
     fn load_trace(path: &str) -> Result<(TraceFile, u64), String> {
         let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
         let trace = TraceFile::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -1088,40 +781,19 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
                 ..RecordConfig::default()
             };
             let mut out: Option<String> = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match arg.as_str() {
-                    "--workload" => workload = Some(value("--workload")?),
-                    "--scale" => {
-                        scale = value("--scale")?
-                            .parse()
-                            .map_err(|e| format!("--scale: {e}"))?
-                    }
-                    "--seed" => seed = parse_seed(&value("--seed")?)?,
-                    "--interval" => {
-                        cfg.interval_len = value("--interval")?
-                            .parse()
-                            .map_err(|e| format!("--interval: {e}"))?
-                    }
-                    "--clusters" => {
-                        cfg.max_clusters = value("--clusters")?
-                            .parse()
-                            .map_err(|e| format!("--clusters: {e}"))?
-                    }
-                    "--warmup" => {
-                        cfg.warmup_intervals = value("--warmup")?
-                            .parse()
-                            .map_err(|e| format!("--warmup: {e}"))?
-                    }
-                    "--out" => out = Some(value("--out")?),
+            walk_args(rest, |arg, value| {
+                match arg {
+                    "--workload" => workload = Some(value()?),
+                    "--scale" => scale = parse_num(arg, &value()?)?,
+                    "--seed" => seed = parse_seed(arg, &value()?)?,
+                    "--interval" => cfg.interval_len = parse_num(arg, &value()?)?,
+                    "--clusters" => cfg.max_clusters = parse_num(arg, &value()?)?,
+                    "--warmup" => cfg.warmup_intervals = parse_num(arg, &value()?)?,
+                    "--out" => out = Some(value()?),
                     other => return Err(format!("unknown trace record option '{other}'")),
                 }
-            }
+                Ok(())
+            })?;
             let label = workload.ok_or("trace record needs --workload <kernel>")?;
             let kind =
                 WorkloadKind::parse(&label).ok_or_else(|| format!("unknown workload '{label}'"))?;
@@ -1135,7 +807,7 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
             let trace =
                 si_trace::record(&kind.program(scale, seed), &cfg).map_err(|e| e.to_string())?;
             let bytes = trace.encode();
-            write_trace(&path, &bytes)?;
+            write_file(&path, &bytes)?;
             let digest = TraceFile::content_digest(&bytes);
             println!(
                 "trace:record     ok  {:>7}ms  {} bytes  {}  -> {}",
@@ -1148,21 +820,16 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
         }
         "example" => {
             let mut out = "traces/example.sit".to_owned();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--out" => {
-                        out = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| "--out needs a value".to_owned())?
-                    }
+            walk_args(rest, |arg, value| {
+                match arg {
+                    "--out" => out = value()?,
                     other => return Err(format!("unknown trace example option '{other}'")),
                 }
-            }
+                Ok(())
+            })?;
             let trace = si_trace::example_trace();
             let bytes = trace.encode();
-            write_trace(&out, &bytes)?;
+            write_file(&out, &bytes)?;
             println!(
                 "trace:example    ok  {} bytes  {}  -> {}",
                 bytes.len(),
@@ -1187,33 +854,24 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
             let mut full = false;
             let mut budget = 30_000_000u64;
             let mut no_artifact_cache = false;
-            let mut it = rest[1..].iter();
-            while let Some(arg) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match arg.as_str() {
+            walk_args(&rest[1..], |arg, value| {
+                match arg {
                     "--scheme" => {
-                        let v = value("--scheme")?;
+                        let v = value()?;
                         scheme = parse_scheme(&v).ok_or_else(|| format!("unknown scheme '{v}'"))?;
                     }
                     "--predictor" => {
-                        let v = value("--predictor")?;
+                        let v = value()?;
                         predictor = PredictorPreset::parse(&v)
                             .ok_or_else(|| format!("unknown predictor '{v}'"))?;
                     }
                     "--full" => full = true,
-                    "--budget" => {
-                        budget = value("--budget")?
-                            .parse()
-                            .map_err(|e| format!("--budget: {e}"))?
-                    }
+                    "--budget" => budget = parse_num(arg, &value()?)?,
                     "--no-artifact-cache" => no_artifact_cache = true,
                     other => return Err(format!("unknown trace replay option '{other}'")),
                 }
-            }
+                Ok(())
+            })?;
             let (trace, digest) = load_trace(path)?;
             let config = MachineConfig::from_presets(
                 GeometryPreset::KabyLake,
@@ -1247,51 +905,26 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("bench") => cmd_bench(&argv[1..]),
-        Some("trace") => cmd_trace(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("sweep") => cmd_sweep(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("attack") => cmd_attack(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("scan") => cmd_scan(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("serve") => cmd_serve(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("cache") => cmd_cache(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("report") => cmd_report(&argv[1..]).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }),
-        Some("run") => match parse_args(&argv[1..]) {
-            Ok(args) => cmd_run(&args),
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
+    let rest = argv.get(1..).unwrap_or_default();
+    let outcome = match argv.first().map(String::as_str) {
+        Some("list") => Ok(cmd_list()),
+        Some("bench") => cmd_bench(rest),
+        Some("trace") => cmd_trace(rest),
+        Some(name @ ("sweep" | "attack" | "scan")) => {
+            cmd_job(Verb::parse(name).expect("a grid verb"), rest)
+        }
+        Some("serve") => cmd_serve(rest),
+        Some("cache") => cmd_cache(rest),
+        Some("report") => cmd_report(rest),
+        Some("run") => parse_args(rest).map(|args| cmd_run(&args)),
         Some("-h" | "--help" | "help") | None => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(other) => {
-            eprintln!("error: unknown command '{other}'\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+        Some(other) => Err(format!("unknown command '{other}'")),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{USAGE}");
+        ExitCode::FAILURE
+    })
 }

@@ -18,9 +18,6 @@ use std::fmt::Write as _;
 /// (`sia report`, CI validators) dispatch without guessing from
 /// filenames. Experiment, sweep, and attack documents share the
 /// `config` / `result` / `summary` envelope.
-///
-/// **v1**: experiment envelopes without `kind`. [`doc_kind`] still
-/// classifies v1 documents so `sia report` renders old result files.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// The kind of a result document (the schema-v2 `kind` discriminator).
@@ -51,9 +48,8 @@ impl DocKind {
     }
 }
 
-/// Classifies a result document. Reads the v2 `kind` field; falls back
-/// to structural sniffing for v1 documents (an `experiment` id field ⇒
-/// experiment). Returns `None` for documents this harness never wrote.
+/// Classifies a result document by its `kind` field. Returns `None` for
+/// documents this harness never wrote.
 pub fn doc_kind(doc: &Json) -> Option<DocKind> {
     match doc.get("kind") {
         Some(Json::Str(k)) => match k.as_str() {
@@ -64,7 +60,7 @@ pub fn doc_kind(doc: &Json) -> Option<DocKind> {
             "bench" => Some(DocKind::Bench),
             _ => None,
         },
-        _ => doc.get("experiment").map(|_| DocKind::Experiment),
+        _ => None,
     }
 }
 
@@ -293,16 +289,22 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The harness writes
+/// documents a handful of levels deep; the bound keeps an untrusted body
+/// (a POST to `sia serve`) from recursing the parser off its stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document — the validator behind `sia`'s write-then-check
 /// guarantee and the CI smoke job. Accepts exactly what the writer
-/// emits plus standard JSON; rejects trailing garbage.
+/// emits plus standard JSON; rejects trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing characters at byte {}", p.pos));
@@ -348,7 +350,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth == MAX_DEPTH && matches!(self.peek(), Some(b'[' | b'{')) {
+            let pos = self.pos;
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+            ));
+        }
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -364,7 +373,7 @@ impl Parser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -390,7 +399,7 @@ impl Parser<'_> {
                     self.skip_ws();
                     self.expect(b':')?;
                     self.skip_ws();
-                    let value = self.value()?;
+                    let value = self.value(depth + 1)?;
                     pairs.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -554,6 +563,27 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    /// 200k `[` then 200k `]` (400 KB, under serve's body cap) used to
+    /// recurse the parser off a 2 MiB stack; past [`MAX_DEPTH`] it is a
+    /// plain error. Nesting up to the limit still parses.
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&deep).map(|_| ()))
+            .expect("spawn")
+            .join()
+            .expect("parser thread did not overflow");
+        assert!(parsed.unwrap_err().contains("nesting deeper"));
+        let objects = format!("{}1{}", "{\"k\":".repeat(200_000), "}".repeat(200_000));
+        assert!(parse(&objects).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past = format!("[{at_limit}]");
+        assert!(parse(&past).is_err());
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod attack;
 pub mod bench;
 pub mod exec;
 pub mod experiments;
+pub mod job;
 pub mod json;
 pub mod render;
 pub mod report;

@@ -1,5 +1,5 @@
 //! Text rendering for the harness's reporting layer: the timeline
-//! formatting helpers (moved here from `si-bench`'s library) plus the
+//! formatting helpers plus the
 //! deterministic markdown renderer behind `sia report`, which turns any
 //! `results/*.json` document — experiment, sweep, or bench — into the
 //! generated tables of EXPERIMENTS.md.

@@ -81,6 +81,101 @@ impl ScanJob {
     pub fn quick(&mut self) {
         self.trials = 6;
     }
+
+    /// The job's unit stream under `seed`. Runs the (cheap) static stage,
+    /// which decides the confirm cells.
+    pub fn unit_specs(&self, seed: u64) -> Result<Vec<UnitSpec>, String> {
+        Ok(self.plan(seed)?.specs)
+    }
+
+    /// Compiles the job: the static stage, then the confirm cells and
+    /// their unit stream.
+    fn plan(&self, seed: u64) -> Result<Plan, String> {
+        if self.schemes.is_empty() {
+            return Err("scan job has no confirm schemes".into());
+        }
+        if self.horizon == 0 {
+            return Err("scan horizon must be at least 1".into());
+        }
+        let trials = self.trials.max(1);
+        let entries = corpus();
+        let config = ScanConfig {
+            horizon: self.horizon,
+        };
+        let reports: Vec<ScanReport> = entries
+            .iter()
+            .map(|e| si_scan::scan(&e.program, &e.secrets, &config))
+            .collect();
+
+        // Confirm cells, in (corpus, class, scheme) order.
+        let mut cells: Vec<ConfirmCell> = Vec::new();
+        for (i, (entry, report)) in entries.iter().zip(&reports).enumerate() {
+            if entry.scaffold.is_none() {
+                continue;
+            }
+            for (class, finding) in confirm_classes(report) {
+                for &scheme in &self.schemes {
+                    let scenario =
+                        AttackScenario::from_finding(&finding, scheme, entry.program.clone())
+                            .expect("classes come from confirm_class()");
+                    cells.push(ConfirmCell {
+                        entry: i,
+                        class,
+                        scheme,
+                        scenario,
+                    });
+                }
+            }
+        }
+
+        // Every cell transmits the same exactly balanced bit sequence; the
+        // per-unit seed feeds only the (quiet-machine) noise stream. Unit
+        // addresses fold the scanned program itself, so editing a corpus
+        // program invalidates exactly its own cached confirm trials.
+        let bits = leakage::secret_bits(trials, seed);
+        let mut specs = Vec::with_capacity(cells.len() * trials);
+        for c in &cells {
+            let digest = fnv64(
+                format!(
+                    "{} horizon={} program={:?}",
+                    c.scenario.machine().fingerprint(),
+                    self.horizon,
+                    entries[c.entry].program,
+                )
+                .as_bytes(),
+            );
+            for (trial, bit) in bits.iter().enumerate() {
+                specs.push(UnitSpec {
+                    kind: "scan",
+                    key: format!(
+                        "program={} class={} scheme={} bit={bit}",
+                        entries[c.entry].name,
+                        c.class.slug(),
+                        scheme_slug(c.scheme),
+                    ),
+                    trial: trial as u64,
+                    seed: mix_seed(seed, specs.len() as u64),
+                    config_digest: digest,
+                });
+            }
+        }
+        Ok(Plan {
+            entries,
+            reports,
+            cells,
+            specs,
+        })
+    }
+}
+
+/// A scan job compiled under one seed: the corpus, its static reports,
+/// the confirm cells, and their unit stream (cell-major, trials
+/// innermost).
+struct Plan {
+    entries: Vec<CorpusEntry>,
+    reports: Vec<ScanReport>,
+    cells: Vec<ConfirmCell>,
+    specs: Vec<UnitSpec>,
 }
 
 /// One confirm cell: a corpus program's finding class under one scheme.
@@ -110,81 +205,14 @@ fn confirm_classes(report: &ScanReport) -> Vec<(ConfirmClass, Finding)> {
 /// engine's executed/cached split. The document is a pure function of
 /// `(job, seed)`.
 pub fn run_scan(job: &ScanJob, seed: u64, engine: &Engine) -> Result<(Json, ExecStats), String> {
-    if job.schemes.is_empty() {
-        return Err("scan job has no confirm schemes".into());
-    }
-    if job.horizon == 0 {
-        return Err("scan horizon must be at least 1".into());
-    }
     let trials = job.trials.max(1);
-    let entries = corpus();
-    let config = ScanConfig {
-        horizon: job.horizon,
-    };
-    let reports: Vec<ScanReport> = entries
-        .iter()
-        .map(|e| si_scan::scan(&e.program, &e.secrets, &config))
-        .collect();
-
-    // Confirm cells, in (corpus, class, scheme) order.
-    let mut cells: Vec<ConfirmCell> = Vec::new();
-    for (i, (entry, report)) in entries.iter().zip(&reports).enumerate() {
-        if entry.scaffold.is_none() {
-            continue;
-        }
-        for (class, finding) in confirm_classes(report) {
-            for &scheme in &job.schemes {
-                let scenario =
-                    AttackScenario::from_finding(&finding, scheme, entry.program.clone())
-                        .expect("classes come from confirm_class()");
-                cells.push(ConfirmCell {
-                    entry: i,
-                    class,
-                    scheme,
-                    scenario,
-                });
-            }
-        }
-    }
-
-    // Every cell transmits the same exactly balanced bit sequence; the
-    // per-unit seed feeds only the (quiet-machine) noise stream. Unit
-    // addresses fold the scanned program itself, so editing a corpus
-    // program invalidates exactly its own cached confirm trials.
+    let Plan {
+        entries,
+        reports,
+        cells,
+        specs,
+    } = job.plan(seed)?;
     let bits = leakage::secret_bits(trials, seed);
-    let cell_digests: Vec<u64> = cells
-        .iter()
-        .map(|c| {
-            fnv64(
-                format!(
-                    "{} horizon={} program={:?}",
-                    c.scenario.machine().fingerprint(),
-                    job.horizon,
-                    entries[c.entry].program,
-                )
-                .as_bytes(),
-            )
-        })
-        .collect();
-    let specs: Vec<UnitSpec> = (0..cells.len() * trials)
-        .map(|i| {
-            let (cell, trial) = (i / trials, i % trials);
-            let c = &cells[cell];
-            UnitSpec {
-                kind: "scan",
-                key: format!(
-                    "program={} class={} scheme={} bit={}",
-                    entries[c.entry].name,
-                    c.class.slug(),
-                    scheme_slug(c.scheme),
-                    bits[trial]
-                ),
-                trial: trial as u64,
-                seed: mix_seed(seed, i as u64),
-                config_digest: cell_digests[cell],
-            }
-        })
-        .collect();
     let prepared: Vec<OnceLock<PreparedScenario>> = cells.iter().map(|_| OnceLock::new()).collect();
     let (outcomes, stats) = engine.run_units(
         &specs,

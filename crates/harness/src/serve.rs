@@ -2,24 +2,21 @@
 //!
 //! The daemon binds an [`si_http::Server`], opens the packed unit store
 //! **once**, and compiles every POSTed grid spec onto the same
-//! [`Engine`] unit stream the offline verbs use — so a served document
-//! is byte-identical to `sia sweep/attack/scan --no-wall-time` output by
-//! construction, and every request after the first warms the shared
-//! store. Concurrent clients posting overlapping grids deduplicate
-//! through the engine's in-flight table: each unique unit executes
-//! exactly once; later claimants await the running execution instead of
-//! re-running it (the response's `x-sia-coalesced` header counts those).
+//! [`Engine`] unit stream the offline verbs use — a body is parsed by
+//! [`JobSpec::from_json`], the twin of the CLI's [`JobSpec::from_argv`]
+//! over one key table — so a served document is byte-identical to
+//! `sia sweep/attack/scan --no-wall-time` output by construction, and
+//! every request after the first warms the shared store. Concurrent
+//! clients posting overlapping grids deduplicate through the engine's
+//! in-flight table: each unique unit executes exactly once; later
+//! claimants await the running execution instead of re-running it (the
+//! response's `x-sia-coalesced` header counts those).
 //!
 //! ## Endpoints
 //!
-//! | Method | Path              | Body / effect                                   |
-//! |--------|-------------------|-------------------------------------------------|
-//! | GET    | `/healthz`        | liveness probe (`ok`)                           |
-//! | GET    | `/`               | this endpoint table, as plain text              |
-//! | GET    | `/v1/store/stats` | packed-store statistics (JSON)                  |
-//! | POST   | `/v1/sweep`       | `{"grid","quick","filters","scale","trials","seed"}` |
-//! | POST   | `/v1/attack`      | `{"grid","quick","filters","trials","no_checkpoint","seed"}` |
-//! | POST   | `/v1/scan`        | `{"quick","trials","horizon","seed"}`           |
+//! `GET /` serves the endpoint table (`ENDPOINTS` below): `GET /healthz`,
+//! `GET /v1/store/stats`, and `POST /v1/sweep|attack|scan`, whose body is
+//! a JSON object of the verb's job keys (see [`crate::job`]).
 //!
 //! Grid POSTs accept two query parameters: `?format=md` renders the
 //! document through the same markdown renderer as `sia report` (the
@@ -28,9 +25,10 @@
 //! then the complete document as the final chunk (strip the
 //! progress-prefixed lines to recover the exact offline bytes).
 //!
-//! Unknown body keys, unknown grids, and bad values are 400s with a
-//! JSON error body; unknown paths are 404; wrong methods are 405 with an
-//! `Allow` header. The daemon never panics on client input.
+//! Unknown body keys, unknown grids, bad values, and bodies nested past
+//! [`crate::json::MAX_DEPTH`] are 400s with a JSON error body; unknown
+//! paths are 404; wrong methods are 405 with an `Allow` header. The
+//! daemon never panics on client input.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,11 +37,9 @@ use std::sync::{Arc, Mutex};
 
 use si_http::{Request, Responder, Server};
 
-use crate::attack::{run_attack_grid, AttackGrid};
+use crate::job::{JobSpec, Verb};
 use crate::json::{obj, parse, Json, SCHEMA_VERSION};
 use crate::render::render_doc;
-use crate::scan::{run_scan, ScanJob};
-use crate::sweep::{run_sweep, GridSpec};
 use crate::{Engine, ExecStats};
 
 /// The endpoint table served on `GET /`.
@@ -70,33 +66,6 @@ struct ServeState {
     /// Seed used when a request body does not carry one (the CLI
     /// default, so bodiless POSTs match bare offline invocations).
     default_seed: u64,
-}
-
-/// A compiled grid job: the validated spec plus the output stem the
-/// offline verb would have written (`sweep-defense`, `scan-corpus`, …),
-/// which anchors the markdown rendering.
-enum Job {
-    Sweep { grid: GridSpec, seed: u64 },
-    Attack { grid: AttackGrid, seed: u64 },
-    Scan { job: ScanJob, seed: u64 },
-}
-
-impl Job {
-    fn stem(&self) -> String {
-        match self {
-            Job::Sweep { grid, .. } => format!("sweep-{}", grid.name),
-            Job::Attack { grid, .. } => format!("attack-{}", grid.name),
-            Job::Scan { .. } => "scan-corpus".to_owned(),
-        }
-    }
-
-    fn run(&self, engine: &Engine) -> Result<(Json, ExecStats), String> {
-        match self {
-            Job::Sweep { grid, seed } => run_sweep(grid, *seed, engine),
-            Job::Attack { grid, seed } => run_attack_grid(grid, *seed, engine),
-            Job::Scan { job, seed } => run_scan(job, *seed, engine),
-        }
-    }
 }
 
 /// A running daemon: the bound address, the shutdown flag (set it from a
@@ -167,15 +136,17 @@ fn handle(state: &ServeState, req: &Request, resp: &mut Responder) {
             "GET" => store_stats(state, resp),
             _ => method_not_allowed(resp, "GET"),
         },
-        "/v1/sweep" | "/v1/attack" | "/v1/scan" => match method {
-            "POST" => grid_endpoint(state, req, resp),
-            _ => method_not_allowed(resp, "POST"),
+        path => match path.strip_prefix("/v1/").and_then(Verb::parse) {
+            Some(verb) => match method {
+                "POST" => grid_endpoint(state, verb, req, resp),
+                _ => method_not_allowed(resp, "POST"),
+            },
+            None => resp.respond(
+                404,
+                "application/json",
+                error_body("no such endpoint (GET / lists them)").as_bytes(),
+            ),
         },
-        _ => resp.respond(
-            404,
-            "application/json",
-            error_body("no such endpoint (GET / lists them)").as_bytes(),
-        ),
     }
 }
 
@@ -227,8 +198,8 @@ fn store_stats(state: &ServeState, resp: &mut Responder) {
 }
 
 /// `POST /v1/{sweep,attack,scan}`.
-fn grid_endpoint(state: &ServeState, req: &Request, resp: &mut Responder) {
-    let job = match parse_job(&req.path, &req.body, state.default_seed) {
+fn grid_endpoint(state: &ServeState, verb: Verb, req: &Request, resp: &mut Responder) {
+    let job = match JobSpec::from_json(verb, &req.body, state.default_seed) {
         Ok(job) => job,
         Err(e) => {
             resp.respond(400, "application/json", error_body(&e).as_bytes());
@@ -264,7 +235,11 @@ fn grid_endpoint(state: &ServeState, req: &Request, resp: &mut Responder) {
 }
 
 /// Runs a job and renders it (pretty JSON, or the report markdown).
-fn run_rendered(job: &Job, engine: &Engine, markdown: bool) -> Result<(String, ExecStats), String> {
+fn run_rendered(
+    job: &JobSpec,
+    engine: &Engine,
+    markdown: bool,
+) -> Result<(String, ExecStats), String> {
     let (doc, stats) = job.run(engine)?;
     let text = if markdown {
         render_doc(&job.stem(), &doc)?
@@ -297,7 +272,7 @@ fn sia_headers(stats: &ExecStats) -> Vec<(&'static str, String)> {
 /// completion so its units still land in the shared store.
 fn stream_job(
     state: &ServeState,
-    job: Job,
+    job: JobSpec,
     markdown: bool,
     content_type: &str,
     resp: &mut Responder,
@@ -331,133 +306,4 @@ fn stream_job(
         Err(e) => body.write_chunk(format!("error: {e}\n").as_bytes()),
     }
     body.finish();
-}
-
-/// Parses and validates a grid-POST body. Unknown keys are errors —
-/// silently ignoring a typoed `"trails"` would serve the wrong grid.
-fn parse_job(path: &str, body: &[u8], default_seed: u64) -> Result<Job, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let spec = if text.trim().is_empty() {
-        Json::Obj(Vec::new()) // An empty body runs the default grid.
-    } else {
-        parse(text).map_err(|e| format!("body is not valid JSON: {e}"))?
-    };
-    let Json::Obj(pairs) = &spec else {
-        return Err("body must be a JSON object".to_owned());
-    };
-    let mut grid_name: Option<String> = None;
-    let mut quick = false;
-    let mut filters: Vec<String> = Vec::new();
-    let mut scale: Option<usize> = None;
-    let mut trials: Option<usize> = None;
-    let mut horizon: Option<usize> = None;
-    let mut no_checkpoint = false;
-    let mut seed = default_seed;
-    let (sweep_verb, attack_verb, scan_verb) = (
-        path == "/v1/sweep",
-        path == "/v1/attack",
-        path == "/v1/scan",
-    );
-    for (key, value) in pairs {
-        match key.as_str() {
-            "grid" if !scan_verb => grid_name = Some(as_str(key, value)?),
-            "quick" => quick = as_bool(key, value)?,
-            "filters" if !scan_verb => {
-                let Json::Arr(items) = value else {
-                    return Err(format!("'{key}' must be an array of strings"));
-                };
-                for item in items {
-                    filters.push(as_str(key, item)?);
-                }
-            }
-            "scale" if sweep_verb => scale = Some(as_usize(key, value)?),
-            "trials" => trials = Some(as_usize(key, value)?),
-            "horizon" if scan_verb => horizon = Some(as_usize(key, value)?),
-            "no_checkpoint" if attack_verb => no_checkpoint = as_bool(key, value)?,
-            "seed" => seed = as_seed(value)?,
-            other => return Err(format!("unknown key '{other}' for {path}")),
-        }
-    }
-    if scan_verb {
-        let mut job = ScanJob::standard();
-        if quick {
-            job.quick();
-        }
-        if let Some(t) = trials {
-            job.trials = t;
-        }
-        if let Some(h) = horizon {
-            if h == 0 {
-                return Err("'horizon' needs a window depth of at least 1".to_owned());
-            }
-            job.horizon = h;
-        }
-        return Ok(Job::Scan { job, seed });
-    }
-    if sweep_verb {
-        let mut grid = GridSpec::named(grid_name.as_deref().unwrap_or("defense"))?;
-        if quick {
-            grid.quick();
-        }
-        for f in &filters {
-            grid.apply_filter(f)?;
-        }
-        if let Some(s) = scale {
-            grid.scale = s;
-        }
-        if let Some(t) = trials {
-            grid.trials = t;
-        }
-        return Ok(Job::Sweep { grid, seed });
-    }
-    debug_assert!(attack_verb);
-    let mut grid = AttackGrid::named(grid_name.as_deref().unwrap_or("headline"))?;
-    if quick {
-        grid.quick();
-    }
-    for f in &filters {
-        grid.apply_filter(f)?;
-    }
-    if let Some(t) = trials {
-        grid.trials = t;
-    }
-    grid.disable_checkpoint = no_checkpoint;
-    Ok(Job::Attack { grid, seed })
-}
-
-fn as_str(key: &str, value: &Json) -> Result<String, String> {
-    match value {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err(format!("'{key}' must be a string")),
-    }
-}
-
-fn as_bool(key: &str, value: &Json) -> Result<bool, String> {
-    match value {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("'{key}' must be a boolean")),
-    }
-}
-
-fn as_usize(key: &str, value: &Json) -> Result<usize, String> {
-    match value {
-        Json::U64(n) => Ok(*n as usize),
-        Json::I64(n) if *n >= 0 => Ok(*n as usize),
-        _ => Err(format!("'{key}' must be a non-negative integer")),
-    }
-}
-
-/// A seed: a JSON integer, or a string in the CLI's `--seed` syntax
-/// (decimal or `0x`-hex).
-fn as_seed(value: &Json) -> Result<u64, String> {
-    match value {
-        Json::U64(n) => Ok(*n),
-        Json::I64(n) if *n >= 0 => Ok(*n as u64),
-        Json::Str(s) => match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        }
-        .map_err(|e| format!("'seed': {e}")),
-        _ => Err("'seed' must be an integer or a decimal/0x-hex string".to_owned()),
-    }
 }

@@ -293,6 +293,59 @@ impl GridSpec {
     pub fn unit_count(&self) -> usize {
         self.rows().len() * (self.schemes.len() + 1) * self.trials.max(1)
     }
+
+    /// The grid's columns: the unprotected baseline, then each scheme.
+    fn columns(&self) -> Vec<SchemeKind> {
+        std::iter::once(SchemeKind::Unprotected)
+            .chain(self.schemes.iter().copied())
+            .collect()
+    }
+
+    /// The grid's unit stream under `seed`, in execution order: rows
+    /// row-major, baseline column first, trials innermost. The unit index
+    /// doubles as the per-unit seed derivation input; the spec
+    /// additionally pins the cell axes and the machine's config
+    /// fingerprint, so the cache key survives grid re-shapes only for
+    /// units whose work is genuinely unchanged.
+    pub fn unit_specs(&self, seed: u64) -> Vec<UnitSpec> {
+        let trials = self.trials.max(1);
+        let columns = self.columns();
+        let mut specs = Vec::with_capacity(self.unit_count());
+        for k in self.rows() {
+            let mut digest = fnv64(
+                MachineConfig::from_presets(k.geometry, k.noise, k.predictor)
+                    .fingerprint()
+                    .as_bytes(),
+            );
+            // A trace workload's measurement depends on the trace bytes
+            // as much as on the machine config: fold the fixture's
+            // content digest into the unit spec so re-recording a trace
+            // orphans its cached results.
+            if let WorkloadKind::Trace(t) = k.workload {
+                digest ^= t.content_digest();
+            }
+            for &scheme in &columns {
+                for trial in 0..trials {
+                    specs.push(UnitSpec {
+                        kind: "sweep",
+                        key: format!(
+                            "scheme={} workload={} geometry={} noise={} predictor={} scale={}",
+                            scheme_slug(scheme),
+                            k.workload.label(),
+                            k.geometry.slug(),
+                            k.noise.slug(),
+                            k.predictor.slug(),
+                            self.scale
+                        ),
+                        trial: trial as u64,
+                        seed: mix_seed(seed, specs.len() as u64),
+                        config_digest: digest,
+                    });
+                }
+            }
+        }
+        specs
+    }
 }
 
 /// Splits a `--filter axis=v1,v2,…` spec into its axis name and
@@ -366,13 +419,6 @@ struct RowKey {
     workload: WorkloadKind,
 }
 
-/// One flattened trial unit.
-struct Unit {
-    row: usize,
-    /// Column index: 0 is the unprotected baseline, `1 + i` is scheme `i`.
-    col: usize,
-}
-
 /// Serializes one sweep outcome for the unit cache.
 fn encode_outcome(outcome: &Result<u64, String>) -> Option<String> {
     Some(match outcome {
@@ -405,66 +451,19 @@ pub fn run_sweep(grid: &GridSpec, seed: u64, engine: &Engine) -> Result<(Json, E
     if rows.is_empty() {
         return Err("grid has no rows (an axis is empty)".into());
     }
-    let columns: Vec<SchemeKind> = std::iter::once(SchemeKind::Unprotected)
-        .chain(grid.schemes.iter().copied())
-        .collect();
-
-    // Compile the grid row-major, baseline column first, trials
-    // innermost. The unit index doubles as the per-unit seed derivation
-    // input; the spec additionally pins the cell axes and the machine's
-    // config fingerprint, so the cache key survives grid re-shapes only
-    // for units whose work is genuinely unchanged.
-    let row_digests: Vec<u64> = rows
-        .iter()
-        .map(|k| {
-            let mut digest = fnv64(
-                MachineConfig::from_presets(k.geometry, k.noise, k.predictor)
-                    .fingerprint()
-                    .as_bytes(),
-            );
-            // A trace workload's measurement depends on the trace bytes
-            // as much as on the machine config: fold the fixture's
-            // content digest into the unit spec so re-recording a trace
-            // orphans its cached results.
-            if let WorkloadKind::Trace(t) = k.workload {
-                digest ^= t.content_digest();
-            }
-            digest
-        })
-        .collect();
-    let mut units = Vec::with_capacity(rows.len() * columns.len() * trials);
-    let mut specs = Vec::with_capacity(units.capacity());
-    for (row, k) in rows.iter().enumerate() {
-        for (col, &scheme) in columns.iter().enumerate() {
-            for trial in 0..trials {
-                specs.push(UnitSpec {
-                    kind: "sweep",
-                    key: format!(
-                        "scheme={} workload={} geometry={} noise={} predictor={} scale={}",
-                        scheme_slug(scheme),
-                        k.workload.label(),
-                        k.geometry.slug(),
-                        k.noise.slug(),
-                        k.predictor.slug(),
-                        grid.scale
-                    ),
-                    trial: trial as u64,
-                    seed: mix_seed(seed, units.len() as u64),
-                    config_digest: row_digests[row],
-                });
-                units.push(Unit { row, col });
-            }
-        }
-    }
+    let columns = grid.columns();
+    let specs = grid.unit_specs(seed);
 
     let (outcomes, stats) = engine.run_units(
         &specs,
         |i| {
-            let u = &units[i];
-            let k = &rows[u.row];
+            // Unit `i` is (row, column, trial) row-major; column 0 is the
+            // unprotected baseline, `1 + j` is scheme `j`.
+            let (row, col) = (i / (columns.len() * trials), i / trials % columns.len());
+            let k = &rows[row];
             let mut cfg = MachineConfig::from_presets(k.geometry, k.noise, k.predictor);
             cfg.noise.seed = specs[i].seed;
-            si_workloads::run(k.workload, grid.scale, columns[u.col], &cfg)
+            si_workloads::run(k.workload, grid.scale, columns[col], &cfg)
                 .map(|m| m.cycles)
                 .map_err(|e| e.to_string())
         },
@@ -557,7 +556,7 @@ pub fn run_sweep(grid: &GridSpec, seed: u64, engine: &Engine) -> Result<(Json, E
     ]);
     let mut summary = obj([
         ("rows", Json::from(json_rows.len())),
-        ("units", Json::from(units.len())),
+        ("units", Json::from(specs.len())),
         ("errors", Json::from(errors)),
     ]);
     for (i, scheme) in grid.schemes.iter().enumerate() {

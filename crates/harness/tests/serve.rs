@@ -313,6 +313,22 @@ fn protocol_errors_are_status_codes_never_panics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A 400 KB body of 200k `[` then 200k `]` — under the 4 MiB body cap —
+/// used to recurse the JSON parser off its connection thread's stack
+/// and abort the daemon. It is a 400 now, and the daemon stays up.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_stays_up() {
+    let (handle, dir) = daemon("nesting");
+    let body = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let resp = request(&handle.addr, "POST", "/v1/sweep", &[], body.as_bytes()).expect("400");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("nesting"), "{}", resp.text());
+    let health = request(&handle.addr, "GET", "/healthz", &[], b"").expect("alive");
+    assert_eq!(health.status, 200);
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn keep_alive_and_mid_stream_disconnect_are_survivable() {
     let (handle, dir) = daemon("keepalive");
