@@ -5,7 +5,7 @@
 //! same-pattern stand-in as `si-rand`: the exact HTTP/1.1 surface the
 //! daemon needs, hand-rolled on `std::net` — request parsing with hard
 //! size limits, keep-alive connection handling, fixed and chunked
-//! (streaming) responses, and a polling accept loop that honors a shared
+//! (streaming) responses, and a blocking accept loop that honors a shared
 //! shutdown flag so SIGTERM can drain the server cleanly.
 //!
 //! What it deliberately is **not**: TLS, HTTP/2, compression, trailers,
@@ -20,7 +20,7 @@
 //! with.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -445,9 +445,13 @@ impl Drop for ChunkedBody<'_> {
     }
 }
 
-/// A polling HTTP server: one OS thread per connection, keep-alive
-/// handled in a per-connection loop, shutdown via a shared flag the
-/// accept loop re-checks between polls.
+/// How often the shutdown watcher re-reads the flag. Only shutdown waits
+/// on this; accepting a connection never does.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(20);
+
+/// An HTTP server: one OS thread per connection, keep-alive handled in a
+/// per-connection loop. The accept loop blocks in `accept`; a watcher
+/// thread wakes it once the shared shutdown flag is set.
 pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
@@ -460,7 +464,6 @@ impl Server {
     pub fn bind(addr: &str) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
             local_addr,
@@ -490,8 +493,13 @@ impl Server {
         H: Fn(&Request, &mut Responder) + Send + Sync + 'static,
     {
         let handler = Arc::new(handler);
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
+        let watcher = spawn_shutdown_watcher(self.local_addr, Arc::clone(&self.shutdown));
+        loop {
+            let accepted = self.listener.accept();
+            if self.shutdown.load(Ordering::SeqCst) {
+                break; // the watcher's wake-up, or a client racing shutdown
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     let handler = Arc::clone(&handler);
                     let shutdown = Arc::clone(&self.shutdown);
@@ -502,11 +510,12 @@ impl Server {
                         active.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
-                Err(e) if is_timeout(&e) => std::thread::sleep(Duration::from_millis(20)),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                // Out of descriptors and the like: back off, do not spin.
+                Err(_) => std::thread::sleep(SHUTDOWN_POLL),
             }
         }
+        let _ = watcher.join();
         // Drain: connection threads see the flag at their next read
         // tick; give them a bounded grace period.
         for _ in 0..200 {
@@ -516,6 +525,30 @@ impl Server {
             std::thread::sleep(Duration::from_millis(20));
         }
     }
+}
+
+/// Waits for `shutdown`, then connects to the listener at `addr` once so
+/// its blocking `accept` returns and the accept loop sees the flag.
+fn spawn_shutdown_watcher(
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    let wake = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => {
+            SocketAddr::new(Ipv4Addr::LOCALHOST.into(), addr.port())
+        }
+        IpAddr::V6(ip) if ip.is_unspecified() => {
+            SocketAddr::new(Ipv6Addr::LOCALHOST.into(), addr.port())
+        }
+        _ => addr,
+    };
+    std::thread::spawn(move || {
+        while !shutdown.load(Ordering::SeqCst) {
+            std::thread::sleep(SHUTDOWN_POLL);
+        }
+        // A failed connect means the listener is gone already.
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    })
 }
 
 /// One connection's keep-alive loop.

@@ -15,6 +15,16 @@
 //! * **Issue selection is age-ordered** among ready candidates, so the
 //!   interference is a *delay*, not a starvation — exactly the paper's
 //!   alternating `f'1, f1, f'2, f2, ...` interleaving.
+//!
+//! A cycle costs work in proportion to what happens in it, not to how full
+//! the ROB is: the scheduling state each phase reads is kept current at the
+//! events that change it (dispatch, writeback, retire, squash) rather than
+//! rescanned per cycle — the safety frontier ([`Rob::safety_view`]), the
+//! RS ready list and wakeup table, the pending squash, and the age-ordered
+//! list of deferred loads. [`Core::audit`] checks all of it against a
+//! from-scratch rescan; `tick` runs it under debug assertions.
+
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -28,10 +38,8 @@ use crate::frontend::{FetchOutcome, Frontend, FrontendQuiet};
 use crate::memory::Memory;
 use crate::predictor::Predictor;
 use crate::rob::{fresh_rat, EntryState, Rat, RegTag, Rob, RobEntry};
-use crate::rs::{Operand, ReservationStation, RsEntry};
-use crate::scheme::{
-    LoadPlan, SafeAction, SafetyFlags, SafetyView, SpeculationScheme, UnsafeLoadCtx,
-};
+use crate::rs::{Operand, OperandList, ReservationStation, RsEntry};
+use crate::scheme::{LoadPlan, SafeAction, SafetyView, SpeculationScheme, UnsafeLoadCtx};
 use crate::stats::CoreStats;
 use crate::trace::{Trace, TraceEvent};
 use crate::MshrFile;
@@ -74,9 +82,17 @@ pub struct Core {
     rs: ReservationStation,
     exec: ExecUnits,
     rat: Rat,
+    /// RAT snapshots of in-flight, not yet squashed branches, oldest
+    /// first: `(branch seq, RAT at its dispatch)`.
+    checkpoints: VecDeque<(u64, Rat)>,
     arch_regs: [u64; NUM_REGS],
     mshrs: MshrFile,
     pending_loads: Vec<u64>,
+    /// Seqs of loads that are delayed or hold a pending safe action, oldest
+    /// first — the only entries safe promotion acts on.
+    deferred: VecDeque<u64>,
+    /// The oldest resolved, mispredicted branch whose squash is not done.
+    pending_squash: Option<u64>,
     load_completions: Vec<LoadCompletion>,
     /// `(cycle, line)` of I-fetch fills recorded while the active scheme
     /// protects the I-cache; rolled back on squash.
@@ -87,14 +103,10 @@ pub struct Core {
     next_seq: u64,
     stats: CoreStats,
     trace: Trace,
-    /// Reused allocation for per-cycle [`SafetyView`] snapshots.
-    view_scratch: Vec<SafetyFlags>,
-    /// Reused allocation for the issue stage's ready-candidate list.
-    issue_scratch: Vec<(u64, FuClass)>,
     /// Reused allocation for the completion sweep.
     done_scratch: Vec<InFlight>,
-    /// Reused allocation for the safe-promotion sweep.
-    seq_scratch: Vec<u64>,
+    /// Reused allocation for a squash's speculatively filled lines.
+    fill_scratch: Vec<u64>,
 }
 
 impl Clone for Core {
@@ -115,10 +127,13 @@ impl Clone for Core {
             rob: self.rob.clone(),
             rs: self.rs.clone(),
             exec: self.exec.clone(),
-            rat: self.rat.clone(),
+            rat: self.rat,
+            checkpoints: self.checkpoints.clone(),
             arch_regs: self.arch_regs,
             mshrs: self.mshrs.clone(),
             pending_loads: self.pending_loads.clone(),
+            deferred: self.deferred.clone(),
+            pending_squash: self.pending_squash,
             load_completions: self.load_completions.clone(),
             spec_ifetch_fills: self.spec_ifetch_fills.clone(),
             wb_queue: self.wb_queue.clone(),
@@ -127,10 +142,8 @@ impl Clone for Core {
             next_seq: self.next_seq,
             stats: self.stats,
             trace: self.trace.clone(),
-            view_scratch: self.view_scratch.clone(),
-            issue_scratch: self.issue_scratch.clone(),
             done_scratch: self.done_scratch.clone(),
-            seq_scratch: self.seq_scratch.clone(),
+            fill_scratch: self.fill_scratch.clone(),
         }
     }
 }
@@ -198,12 +211,15 @@ impl Core {
             frontend,
             predictor: Predictor::new(config.predictor_kind, config.predictor_entries),
             rob: Rob::new(config.rob_size),
-            rs: ReservationStation::new(config.rs_size),
+            rs: ReservationStation::new(config.rs_size, config.rob_size),
             exec: ExecUnits::new(&config.fu),
             rat: fresh_rat(),
+            checkpoints: VecDeque::new(),
             arch_regs: [0; NUM_REGS],
             mshrs: MshrFile::new(config.mshrs),
             pending_loads: Vec::new(),
+            deferred: VecDeque::new(),
+            pending_squash: None,
             load_completions: Vec::new(),
             spec_ifetch_fills: Vec::new(),
             wb_queue: Vec::new(),
@@ -212,10 +228,8 @@ impl Core {
             next_seq: 0,
             stats: CoreStats::default(),
             trace: Trace::new(),
-            view_scratch: Vec::new(),
-            issue_scratch: Vec::new(),
             done_scratch: Vec::new(),
-            seq_scratch: Vec::new(),
+            fill_scratch: Vec::new(),
             program,
             config,
         }
@@ -327,15 +341,65 @@ impl Core {
         if self.halted {
             return;
         }
-        let view = self.make_view();
+        // Neither issue nor the LSU changes a safety flag, so one frontier
+        // read serves both.
+        let view = self.rob.safety_view();
         self.issue(now, &view);
         self.process_loads(now, ctx, &view);
-        self.recycle_view(view);
         self.writeback(now);
         self.handle_squash(now, ctx);
         self.promote_safe(now, ctx);
         self.dispatch(now);
         self.fetch(now, ctx);
+        debug_assert_eq!(self.audit(), Ok(()), "cycle {now}");
+    }
+
+    /// Checks the scheduling state the core keeps current at events — the
+    /// safety frontier, the RS ready list and wakeup table, the pending
+    /// squash, the deferred-load list and the branch RAT checkpoints —
+    /// against what a from-scratch scan of the ROB and RS gives. `tick`
+    /// runs this after every cycle under debug assertions.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first piece of state that disagrees with its rescan.
+    pub fn audit(&self) -> Result<(), String> {
+        let view = self.rob.safety_view();
+        let scanned = self.rob.scan_safety_view();
+        if view != scanned {
+            return Err(format!("frontier {view:?} != rescan {scanned:?}"));
+        }
+        self.rs.audit(|producer| self.rob.slot_of(producer))?;
+        let squash = self.scan_pending_squash();
+        if self.pending_squash != squash {
+            return Err(format!(
+                "pending squash {:?} != rescan {squash:?}",
+                self.pending_squash
+            ));
+        }
+        // One pass checks both age-ordered side lists against the ROB.
+        let mut deferred = self.deferred.iter();
+        let mut checkpoints = self.checkpoints.iter();
+        for e in self.rob.iter() {
+            if (e.delayed || e.pending_safe_action.is_some()) && deferred.next() != Some(&e.seq) {
+                return Err(format!("deferred loads {:?} are stale", self.deferred));
+            }
+            if e.is_branch() && !e.squash_handled && checkpoints.next().map(|c| c.0) != Some(e.seq)
+            {
+                return Err("branch RAT checkpoints are stale".to_owned());
+            }
+        }
+        if deferred.next().is_some() || checkpoints.next().is_some() {
+            return Err("a side list holds an entry the ROB does not".to_owned());
+        }
+        Ok(())
+    }
+
+    fn scan_pending_squash(&self) -> Option<u64> {
+        self.rob
+            .iter()
+            .find(|e| e.mispredicted && e.resolved && !e.squash_handled)
+            .map(|e| e.seq)
     }
 
     // ------------------------------------------------------------------
@@ -416,7 +480,7 @@ impl Core {
         }
         // Phase 3 (issue): any ready candidate may issue — or, under a
         // defense, accrue per-cycle issue-stall counters — so tick.
-        if self.rs.iter().any(|e| !e.issued && e.ready()) {
+        if self.rs.has_ready() {
             return None;
         }
         // Phase 4 (LSU): non-delayed pending loads retry (and may count
@@ -427,28 +491,22 @@ impl Core {
             }
         }
         // Phase 6 (squash) acts on any unhandled resolved mispredict.
-        if self
-            .rob
-            .iter()
-            .any(|e| e.mispredicted && e.resolved && !e.squash_handled)
-        {
+        if self.pending_squash.is_some() {
             return None;
         }
-        // Phase 7 (safe promotion) acts iff a deferred load is safe now.
-        // Safety can only change through events (which bound the skip), so
-        // checking once covers the whole window.
-        if self
-            .rob
-            .iter()
-            .any(|e| e.delayed || e.pending_safe_action.is_some())
-        {
-            let view = self.safety_view();
-            for (pos, e) in self.rob.iter().enumerate() {
-                let actionable =
-                    e.delayed || (e.pending_safe_action.is_some() && e.state == EntryState::Done);
-                if actionable && self.scheme.is_safe(&view, pos) {
-                    return None;
-                }
+        // Phase 7 (safe promotion) acts iff a deferred load is safe now and
+        // is delayed or has its result back. Safety can only change through
+        // events (which bound the skip), so checking once covers the whole
+        // window; it is monotone in age, so the walk stops at the first
+        // unsafe entry.
+        let view = self.rob.safety_view();
+        for &seq in &self.deferred {
+            if !self.scheme.is_safe(&view, seq) {
+                break;
+            }
+            let e = self.rob.get(seq).expect("deferred loads are in flight");
+            if e.delayed || e.state == EntryState::Done {
+                return None;
             }
         }
         debug_assert!(plan.until > now);
@@ -504,7 +562,7 @@ impl Core {
         let mut done = std::mem::take(&mut self.done_scratch);
         self.exec.drain_done_into(now, &mut done);
         if hold && !done.is_empty() {
-            let view = self.make_view();
+            let view = self.rob.safety_view();
             for op in done.drain(..) {
                 if op.non_pipelined && !self.op_is_safe(&view, op.seq) {
                     // §5.4 rule 1: the unit (and the result) are held while
@@ -515,7 +573,6 @@ impl Core {
                     self.wb_queue.push((op.seq, op.payload));
                 }
             }
-            self.recycle_view(view);
         } else {
             for op in done.drain(..) {
                 self.wb_queue.push((op.seq, op.payload));
@@ -535,10 +592,8 @@ impl Core {
     }
 
     fn op_is_safe(&self, view: &SafetyView, seq: u64) -> bool {
-        match view.position_of(seq) {
-            Some(pos) => self.scheme.is_safe(view, pos),
-            None => true, // squashed or retired: nothing to protect
-        }
+        // Squashed or retired: nothing to protect.
+        self.rob.position(seq).is_none() || self.scheme.is_safe(view, seq)
     }
 
     fn requeue_inflight(&mut self, op: InFlight, done_at: u64) {
@@ -571,11 +626,22 @@ impl Core {
             if head.mispredicted && !head.squash_handled {
                 return; // squash first (later this cycle), retire next cycle
             }
+            let rob_slot = self.rob.head_slot();
             let mut entry = self.rob.pop_head().expect("head exists");
+            while self
+                .checkpoints
+                .front()
+                .is_some_and(|(s, _)| *s <= entry.seq)
+            {
+                self.checkpoints.pop_front();
+            }
             // Apply any deferred cache action that never found an earlier
             // safe point (at the head everything is safe).
             if let Some(action) = entry.pending_safe_action.take() {
-                self.apply_safe_action(now, ctx, &entry, action);
+                debug_assert_eq!(self.deferred.front(), Some(&entry.seq));
+                self.deferred.pop_front();
+                let addr = entry.addr.expect("loads with safe actions have addresses");
+                self.apply_safe_action(now, ctx, addr, action);
             }
             match entry.instr.opcode {
                 Opcode::Store => {
@@ -604,7 +670,7 @@ impl Core {
                 // checkpoint here would rescan the ROB per retirement.
             }
             if self.scheme.holds_resources_until_safe() {
-                self.rs.release(entry.seq);
+                self.rs.release(rob_slot, entry.seq);
             }
             self.stats.retired += 1;
             self.trace.record(
@@ -624,88 +690,53 @@ impl Core {
     // Phase 3: issue (age-ordered, before writeback)
     // ------------------------------------------------------------------
 
-    fn entry_flags(e: &RobEntry) -> SafetyFlags {
-        SafetyFlags {
-            seq: e.seq,
-            unresolved_branch: e.is_branch() && !e.resolved,
-            load_incomplete: e.is_load() && e.state != EntryState::Done,
-            store_addr_unknown: e.is_store_like() && e.state != EntryState::Done,
-            fence: e.instr.opcode == Opcode::Fence,
-        }
-    }
-
-    fn safety_view(&self) -> SafetyView {
-        SafetyView::new(self.rob.iter().map(Self::entry_flags).collect())
-    }
-
-    /// [`safety_view`](Core::safety_view) into the reused scratch
-    /// allocation; pair with [`recycle_view`](Core::recycle_view).
-    fn make_view(&mut self) -> SafetyView {
-        let mut flags = std::mem::take(&mut self.view_scratch);
-        flags.clear();
-        flags.extend(self.rob.iter().map(Self::entry_flags));
-        SafetyView::new(flags)
-    }
-
-    fn recycle_view(&mut self, view: SafetyView) {
-        self.view_scratch = view.into_flags();
-    }
-
+    /// Walks the age-ordered ready list once; entries that issue leave it.
     fn issue(&mut self, now: u64, view: &SafetyView) {
-        let mut candidates = std::mem::take(&mut self.issue_scratch);
-        candidates.clear();
-        candidates.extend(
-            self.rs
-                .iter()
-                .filter(|e| !e.issued && e.ready())
-                .map(|e| (e.seq, e.fu)),
-        );
-        candidates.sort_by_key(|(seq, _)| *seq);
-        let strict_age = self.scheme.strict_age_priority();
-        let hold = self.scheme.holds_resources_until_safe();
-        for &(seq, class) in &candidates {
-            let Some(pos) = view.position_of(seq) else {
-                continue;
-            };
-            if view.fence_blocked(pos) {
-                continue;
-            }
-            if self.scheme.blocks_issue(view, pos) {
-                self.stats.defense_issue_stalls += 1;
-                continue;
-            }
-            let timing = self.config.fu.timing(class);
-            if strict_age && !timing.pipelined && self.rs.older_unissued_for(class, seq) {
-                continue; // §5.4 rule 2: reserve the unit for the older op
-            }
-            let Some(port) = self.exec.free_port(&self.config.fu, class, now) else {
-                self.stats.port_contention_stalls += 1;
-                continue;
-            };
-            let mut operands = [0u64; 2];
-            let mut n_operands = 0;
-            for o in &self
-                .rs
-                .iter()
-                .find(|e| e.seq == seq)
-                .expect("candidate exists")
-                .operands
-            {
-                operands[n_operands] = o.value().expect("candidate is ready");
-                n_operands += 1;
-            }
-            let entry = self.rob.get(seq).expect("RS entry has a ROB entry");
-            let payload = Self::make_payload(&entry.instr, entry.pc, &operands[..n_operands]);
-            self.exec
-                .issue(&self.config.fu, class, port, seq, now, payload);
-            let entry = self.rob.get_mut(seq).expect("checked above");
-            entry.state = EntryState::Issued;
-            entry.issued_at = Some(now);
-            self.rs.mark_issued(seq, hold);
-            self.stats.issued += 1;
-            self.trace.record(now, TraceEvent::Issue { seq, port });
+        let mut ready = self.rs.take_ready();
+        ready.retain(|&(seq, slot)| !self.try_issue(now, view, seq, slot));
+        self.rs.restore_ready(ready);
+    }
+
+    /// Issues ready candidate `seq` (RS `slot`) if nothing holds it back
+    /// this cycle; returns whether it issued.
+    fn try_issue(&mut self, now: u64, view: &SafetyView, seq: u64, slot: u32) -> bool {
+        if view.fence_blocked(seq) {
+            return false;
         }
-        self.issue_scratch = candidates;
+        if self.scheme.blocks_issue(view, seq) {
+            self.stats.defense_issue_stalls += 1;
+            return false;
+        }
+        let rs_entry = self.rs.entry(slot);
+        let class = rs_entry.fu;
+        let mut operands = [0u64; 2];
+        let mut n_operands = 0;
+        for o in &rs_entry.operands {
+            operands[n_operands] = o.value().expect("candidate is ready");
+            n_operands += 1;
+        }
+        let timing = self.config.fu.timing(class);
+        if self.scheme.strict_age_priority()
+            && !timing.pipelined
+            && self.rs.older_unissued_for(class, seq)
+        {
+            return false; // §5.4 rule 2: reserve the unit for the older op
+        }
+        let Some(port) = self.exec.free_port(&self.config.fu, class, now) else {
+            self.stats.port_contention_stalls += 1;
+            return false;
+        };
+        let entry = self.rob.get_mut(seq).expect("RS entry has a ROB entry");
+        let payload = Self::make_payload(&entry.instr, entry.pc, &operands[..n_operands]);
+        entry.state = EntryState::Issued;
+        entry.issued_at = Some(now);
+        self.exec
+            .issue(&self.config.fu, class, port, seq, now, payload);
+        self.rs
+            .mark_issued(slot, self.scheme.holds_resources_until_safe());
+        self.stats.issued += 1;
+        self.trace.record(now, TraceEvent::Issue { seq, port });
+        true
     }
 
     fn make_payload(instr: &Instruction, pc: u64, ops: &[u64]) -> ExecPayload {
@@ -759,16 +790,9 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn process_loads(&mut self, now: u64, ctx: &mut TickCtx<'_>, view: &SafetyView) {
-        let pending = std::mem::take(&mut self.pending_loads);
-        let mut still_pending = Vec::with_capacity(pending.len());
-        for seq in pending {
-            match self.try_load(now, ctx, view, seq) {
-                LoadStep::Done => {}
-                LoadStep::Retry => still_pending.push(seq),
-                LoadStep::Squashed => {}
-            }
-        }
-        self.pending_loads = still_pending;
+        let mut pending = std::mem::take(&mut self.pending_loads);
+        pending.retain(|&seq| self.try_load(now, ctx, view, seq) == LoadStep::Retry);
+        self.pending_loads = pending;
     }
 
     fn try_load(
@@ -787,18 +811,10 @@ impl Core {
         let addr = entry.addr.expect("pending load has an address");
         // Store-to-load ordering: wait for older stores' addresses; forward
         // from the youngest older store to the same address.
-        let mut forward: Option<u64> = None;
-        for older in self.rob.iter().take_while(|e| e.seq < seq) {
-            if older.is_store_like() {
-                if older.state != EntryState::Done {
-                    return LoadStep::Retry;
-                }
-                if older.instr.opcode == Opcode::Store && older.addr == Some(addr) {
-                    forward = older.store_value;
-                }
-            }
+        if !view.store_addrs_known(seq) {
+            return LoadStep::Retry;
         }
-        if let Some(value) = forward {
+        if let Some(value) = self.rob.forwarded_value(seq, addr) {
             self.load_completions.push(LoadCompletion {
                 seq,
                 done_at: now + 1,
@@ -806,8 +822,7 @@ impl Core {
             });
             return LoadStep::Done;
         }
-        let pos = view.position_of(seq).expect("pending load is in the ROB");
-        let safe = self.scheme.is_safe(view, pos);
+        let safe = self.scheme.is_safe(view, seq);
         let level = ctx.hierarchy.probe_level(self.id, addr, AccessClass::Data);
         if safe {
             return self.access_visible(now, ctx, seq, addr, level, false);
@@ -827,6 +842,7 @@ impl Core {
             LoadPlan::Delay => {
                 let entry = self.rob.get_mut(seq).expect("exists");
                 entry.delayed = true;
+                self.defer(seq);
                 self.stats.delayed_loads += 1;
                 self.trace
                     .record(now, TraceEvent::LoadDelayed { seq, addr });
@@ -967,6 +983,9 @@ impl Core {
         });
         let entry = self.rob.get_mut(seq).expect("exists");
         entry.pending_safe_action = on_safe;
+        if on_safe.is_some() {
+            self.defer(seq);
+        }
         self.stats.invisible_loads += 1;
         self.trace.record(
             now,
@@ -978,6 +997,13 @@ impl Core {
             },
         );
         LoadStep::Done
+    }
+
+    /// Adds `seq` to the age-ordered deferred-load list.
+    fn defer(&mut self, seq: u64) {
+        let at = self.deferred.partition_point(|&s| s < seq);
+        debug_assert_ne!(self.deferred.get(at), Some(&seq), "deferred twice");
+        self.deferred.insert(at, seq);
     }
 
     // ------------------------------------------------------------------
@@ -993,16 +1019,17 @@ impl Core {
         while idx < self.wb_queue.len() && granted < self.config.cdb_width {
             let (seq, payload) = self.wb_queue[idx];
             idx += 1;
-            let Some(entry) = self.rob.get_mut(seq) else {
+            let Some(rob_slot) = self.rob.slot_of(seq) else {
                 continue; // squashed in flight: result dropped, no CDB slot
             };
+            let entry = self.rob.get_mut(seq).expect("just found");
             granted += 1;
             match payload {
                 ExecPayload::Value(v) => {
                     entry.state = EntryState::Done;
                     entry.result = Some(v);
                     entry.completed_at = Some(now);
-                    self.rs.wake(seq, v);
+                    self.rs.wake(rob_slot, seq, v);
                     self.trace.record(now, TraceEvent::Writeback { seq });
                 }
                 ExecPayload::AddrReady { addr } => {
@@ -1029,10 +1056,14 @@ impl Core {
                     let pc = entry.pc;
                     let mispredicted = entry.mispredicted;
                     self.predictor.update(pc, taken, next_pc, mispredicted);
+                    if mispredicted {
+                        self.pending_squash = Some(self.pending_squash.map_or(seq, |s| s.min(seq)));
+                    }
                 }
             }
         }
         self.wb_queue.drain(..idx);
+        self.rob.settle();
     }
 
     // ------------------------------------------------------------------
@@ -1040,26 +1071,33 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn handle_squash(&mut self, now: u64, ctx: &mut TickCtx<'_>) {
-        let branch = self
-            .rob
-            .iter()
-            .find(|e| e.mispredicted && e.resolved && !e.squash_handled)
-            .map(|e| (e.seq, e.actual_next));
-        let Some((branch_seq, target)) = branch else {
+        debug_assert_eq!(self.pending_squash, self.scan_pending_squash());
+        let Some(branch_seq) = self.pending_squash.take() else {
             return;
         };
-        let (checkpoint, branch_dispatched_at) = {
-            let entry = self.rob.get_mut(branch_seq).expect("exists");
-            entry.squash_handled = true;
-            (
-                entry
-                    .rat_checkpoint
-                    .clone()
-                    .expect("branches checkpoint the RAT at dispatch"),
-                entry.dispatched_at,
-            )
-        };
-        let removed = self.rob.squash_after(branch_seq);
+        let entry = self.rob.get_mut(branch_seq).expect("exists");
+        entry.squash_handled = true;
+        let (target, branch_dispatched_at) = (entry.actual_next, entry.dispatched_at);
+        while self
+            .checkpoints
+            .back()
+            .is_some_and(|(s, _)| *s > branch_seq)
+        {
+            self.checkpoints.pop_back();
+        }
+        let (checkpoint_seq, checkpoint) = self
+            .checkpoints
+            .pop_back()
+            .expect("branches checkpoint the RAT at dispatch");
+        debug_assert_eq!(checkpoint_seq, branch_seq);
+        let mut spec_fills = std::mem::take(&mut self.fill_scratch);
+        spec_fills.clear();
+        let mut squashed = 0;
+        for e in self.rob.squash_after(branch_seq) {
+            self.mshrs.remove_target(e.seq);
+            spec_fills.extend(e.spec_fill_line);
+            squashed += 1;
+        }
         self.rat = checkpoint;
         // Resolve checkpoint references to producers that retired after the
         // checkpoint was taken: a missing ROB entry here can only mean
@@ -1078,36 +1116,30 @@ impl Core {
         self.pending_loads.retain(|s| *s <= branch_seq);
         self.load_completions.retain(|c| c.seq <= branch_seq);
         self.wb_queue.retain(|(s, _)| *s <= branch_seq);
-        let mut spec_fills = Vec::new();
-        for e in &removed {
-            self.mshrs.remove_target(e.seq);
-            if let Some(line) = e.spec_fill_line {
-                spec_fills.push(line);
-            }
-        }
+        let kept = self.deferred.partition_point(|&s| s <= branch_seq);
+        self.deferred.truncate(kept);
         self.scheme.on_squash(ctx.hierarchy, self.id, &spec_fills);
+        self.fill_scratch = spec_fills;
         if self.scheme.protects_ifetch() {
             // Shadow-I-cache / filter-cache semantics: wrong-path
             // instruction fills are undone. Every line fetched after the
             // mispredicted branch entered the ROB is on the wrong path.
-            let mut kept = Vec::new();
-            for (cycle, line) in std::mem::take(&mut self.spec_ifetch_fills) {
-                if cycle >= branch_dispatched_at {
+            self.spec_ifetch_fills.retain(|&(cycle, line)| {
+                let wrong_path = cycle >= branch_dispatched_at;
+                if wrong_path {
                     ctx.hierarchy.flush_addr(line * si_cache::LINE_BYTES);
-                } else {
-                    kept.push((cycle, line));
                 }
-            }
-            self.spec_ifetch_fills = kept;
+                !wrong_path
+            });
         }
         self.frontend.redirect(target, now);
         self.stats.squashes += 1;
-        self.stats.squashed_instrs += removed.len() as u64;
+        self.stats.squashed_instrs += squashed as u64;
         self.trace.record(
             now,
             TraceEvent::Squash {
                 branch_seq,
-                squashed: removed.len(),
+                squashed,
             },
         );
     }
@@ -1116,50 +1148,44 @@ impl Core {
     // Phase 7: safe promotion (delayed loads, deferred exposures)
     // ------------------------------------------------------------------
 
+    /// Applies what became safe, oldest deferred load first. Safety is
+    /// monotone in age (nothing older can start shadowing), so the walk
+    /// stops at the first unsafe entry.
     fn promote_safe(&mut self, now: u64, ctx: &mut TickCtx<'_>) {
-        if !self
-            .rob
-            .iter()
-            .any(|e| e.delayed || e.pending_safe_action.is_some())
-        {
-            return; // nothing deferred: skip the snapshot entirely
+        if self.deferred.is_empty() {
+            return;
         }
-        let view = self.make_view();
-        let mut seqs = std::mem::take(&mut self.seq_scratch);
-        seqs.clear();
-        seqs.extend(self.rob.iter().map(|e| e.seq));
-        for &seq in &seqs {
-            let pos = view.position_of(seq).expect("just listed");
-            let entry = self.rob.get(seq).expect("just listed");
-            let delayed = entry.delayed;
-            let pending = entry.pending_safe_action;
-            let done = entry.state == EntryState::Done;
-            if (delayed || pending.is_some()) && self.scheme.is_safe(&view, pos) {
-                if delayed {
-                    let e = self.rob.get_mut(seq).expect("exists");
-                    e.delayed = false; // re-issues visibly next LSU pass
+        let view = self.rob.safety_view();
+        let mut i = 0;
+        while let Some(&seq) = self.deferred.get(i) {
+            if !self.scheme.is_safe(&view, seq) {
+                break;
+            }
+            let entry = self.rob.get_mut(seq).expect("deferred loads are in flight");
+            entry.delayed = false; // re-issues visibly next LSU pass
+            match entry.pending_safe_action {
+                Some(action) if entry.state == EntryState::Done => {
+                    entry.pending_safe_action = None;
+                    let addr = entry.addr.expect("loads with safe actions have addresses");
+                    self.apply_safe_action(now, ctx, addr, action);
+                    self.deferred.remove(i);
                 }
-                if let Some(action) = pending {
-                    if done {
-                        let entry = self.rob.get(seq).expect("exists").clone();
-                        self.apply_safe_action(now, ctx, &entry, action);
-                        self.rob.get_mut(seq).expect("exists").pending_safe_action = None;
-                    }
+                // Safe, but the data is not back yet: act once it is.
+                Some(_) => i += 1,
+                None => {
+                    self.deferred.remove(i);
                 }
             }
         }
-        self.seq_scratch = seqs;
-        self.recycle_view(view);
     }
 
     fn apply_safe_action(
         &mut self,
         now: u64,
         ctx: &mut TickCtx<'_>,
-        entry: &RobEntry,
+        addr: u64,
         action: SafeAction,
     ) {
-        let addr = entry.addr.expect("loads with safe actions have addresses");
         match action {
             SafeAction::TouchReplacement => {
                 ctx.hierarchy.touch(now, self.id, addr, AccessClass::Data);
@@ -1196,7 +1222,7 @@ impl Core {
             entry.predicted_next = fetched.predicted_next;
             match fetched.instr.opcode {
                 Opcode::Branch => {
-                    entry.rat_checkpoint = Some(self.rat.clone());
+                    self.checkpoints.push_back((seq, self.rat));
                 }
                 Opcode::Jump => {
                     entry.resolved = true;
@@ -1216,19 +1242,24 @@ impl Core {
                 }
                 _ => {}
             }
+            let operands: OperandList = fetched
+                .instr
+                .reads()
+                .map(|r| self.resolve_operand(r))
+                .collect();
+            let rob_slot = self.rob.push(entry);
             if class != FuClass::None {
-                let operands = fetched
-                    .instr
-                    .reads()
-                    .into_iter()
-                    .map(|r| self.resolve_operand(r))
-                    .collect();
-                self.rs.insert(RsEntry {
-                    seq,
-                    fu: class,
-                    operands,
-                    issued: false,
-                });
+                let rob = &self.rob;
+                self.rs.insert(
+                    RsEntry {
+                        seq,
+                        fu: class,
+                        operands,
+                        issued: false,
+                    },
+                    rob_slot,
+                    |producer| rob.slot_of(producer).expect("producers are in flight"),
+                );
             }
             if let Some(dst) = fetched.instr.writes() {
                 self.rat[dst.index()] = RegTag::Rob(seq);
@@ -1240,7 +1271,6 @@ impl Core {
                     pc: fetched.pc,
                 },
             );
-            self.rob.push(entry);
             self.stats.dispatched += 1;
         }
     }
@@ -1282,7 +1312,7 @@ impl Core {
         if self.scheme.protects_ifetch() {
             self.spec_ifetch_fills.extend(fills);
             // Fills become architectural once no branch is unresolved.
-            if !self.rob.iter().any(|e| e.is_branch() && !e.resolved) {
+            if self.rob.safety_view().branch == SafetyView::NONE {
                 self.spec_ifetch_fills.clear();
             }
         }

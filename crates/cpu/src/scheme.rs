@@ -9,7 +9,7 @@
 //!
 //! * at every data access of a load that is not yet **safe**
 //!   ([`SpeculationScheme::plan_unsafe_load`]);
-//! * every cycle, to promote loads that have since become safe;
+//! * to promote deferred loads once they have become safe;
 //! * at squashes ([`SpeculationScheme::on_squash`]), for schemes with
 //!   rollback or filter state;
 //! * at issue ([`SpeculationScheme::blocks_issue`]) and in the scheduler
@@ -17,7 +17,8 @@
 
 use si_cache::{Hierarchy, HitLevel};
 
-/// Per-entry facts the safety models need, in ROB (program) order.
+/// Per-entry facts the safety models need, in ROB (program) order — the
+/// input of the from-scratch [`SafetyView::from_flags`] build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyFlags {
     /// Global sequence number of the instruction.
@@ -32,50 +33,77 @@ pub struct SafetyFlags {
     pub fence: bool,
 }
 
-/// A per-cycle snapshot of the ROB used to classify instructions as
-/// safe/unsafe under the shadow models of §2.2/§5.2.
-#[derive(Debug, Clone, Default)]
+/// The safety frontier: for each kind of instruction that can cast a
+/// shadow (§2.2/§5.2), the sequence number of the **oldest** one still in
+/// flight, or [`SafetyView::NONE`] when there is none. An instruction is
+/// shadowed by a kind iff that kind's frontier is older than it, so every
+/// shadow-model query is one comparison by sequence number.
+///
+/// The core keeps the frontier current at the events that move it
+/// (dispatch, writeback, retire, squash); [`SafetyView::from_flags`] is the
+/// from-scratch build the incremental one is checked against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyView {
-    flags: Vec<SafetyFlags>,
+    /// Oldest unresolved conditional branch.
+    pub branch: u64,
+    /// Oldest load whose data has not returned.
+    pub load: u64,
+    /// Oldest store or flush whose address is unknown.
+    pub store: u64,
+    /// Oldest unretired `Fence`.
+    pub fence: u64,
+}
+
+impl Default for SafetyView {
+    fn default() -> SafetyView {
+        SafetyView::CLEAR
+    }
 }
 
 impl SafetyView {
-    /// Builds a view from per-entry flags listed head-to-tail.
-    pub fn new(flags: Vec<SafetyFlags>) -> SafetyView {
-        SafetyView { flags }
+    /// Frontier value meaning "nothing of this kind in flight".
+    pub const NONE: u64 = u64::MAX;
+
+    /// The frontier of an empty ROB: nothing shadows anything.
+    pub const CLEAR: SafetyView = SafetyView {
+        branch: SafetyView::NONE,
+        load: SafetyView::NONE,
+        store: SafetyView::NONE,
+        fence: SafetyView::NONE,
+    };
+
+    /// Builds the frontier from scratch out of per-entry flags (any
+    /// order): the oldest flagged sequence number of each kind.
+    pub fn from_flags(flags: impl IntoIterator<Item = SafetyFlags>) -> SafetyView {
+        let mut view = SafetyView::CLEAR;
+        for f in flags {
+            if f.unresolved_branch {
+                view.branch = view.branch.min(f.seq);
+            }
+            if f.load_incomplete {
+                view.load = view.load.min(f.seq);
+            }
+            if f.store_addr_unknown {
+                view.store = view.store.min(f.seq);
+            }
+            if f.fence {
+                view.fence = view.fence.min(f.seq);
+            }
+        }
+        view
     }
 
-    /// Recovers the flags vector so per-cycle callers can reuse its
-    /// allocation for the next snapshot.
-    pub fn into_flags(self) -> Vec<SafetyFlags> {
-        self.flags
+    /// **Spectre model** safety of instruction `seq`: safe iff no older
+    /// branch is unresolved ("a load is non-speculative iff it is older
+    /// than the oldest unresolved branch", §1).
+    pub fn spectre_safe(&self, seq: u64) -> bool {
+        self.branch >= seq
     }
 
-    /// Number of ROB entries in the snapshot.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    /// Position (0 = head) of the entry with sequence number `seq`.
-    pub fn position_of(&self, seq: u64) -> Option<usize> {
-        self.flags.binary_search_by_key(&seq, |f| f.seq).ok()
-    }
-
-    /// The flags at `pos`.
-    pub fn flags(&self, pos: usize) -> &SafetyFlags {
-        &self.flags[pos]
-    }
-
-    /// **Spectre model** safety: safe iff no older branch is unresolved
-    /// ("a load is non-speculative iff it is older than the oldest
-    /// unresolved branch", §1).
-    pub fn spectre_safe(&self, pos: usize) -> bool {
-        self.flags[..pos].iter().all(|f| !f.unresolved_branch)
+    /// Whether every store and flush older than `seq` has a known address
+    /// (the extra condition of DoM's non-TSO model, §3.3.1).
+    pub fn store_addrs_known(&self, seq: u64) -> bool {
+        self.store >= seq
     }
 
     /// **Futuristic model** safety: safe iff no older instruction can still
@@ -83,15 +111,13 @@ impl SafetyView {
     /// every older store/flush address known (§5.2; InvisiSpec's
     /// Futuristic mode unprotects a load "only when it becomes the oldest
     /// load or the oldest instruction in the ROB").
-    pub fn futuristic_safe(&self, pos: usize) -> bool {
-        self.flags[..pos]
-            .iter()
-            .all(|f| !f.unresolved_branch && !f.load_incomplete && !f.store_addr_unknown)
+    pub fn futuristic_safe(&self, seq: u64) -> bool {
+        self.branch.min(self.load).min(self.store) >= seq
     }
 
-    /// Whether an unretired program-level `Fence` exists older than `pos`.
-    pub fn fence_blocked(&self, pos: usize) -> bool {
-        self.flags[..pos].iter().any(|f| f.fence)
+    /// Whether an unretired program-level `Fence` is older than `seq`.
+    pub fn fence_blocked(&self, seq: u64) -> bool {
+        self.fence < seq
     }
 }
 
@@ -150,9 +176,13 @@ pub trait SpeculationScheme: std::fmt::Debug + Send + Sync {
     /// Human-readable name (used in experiment tables).
     fn name(&self) -> String;
 
-    /// Classifies the instruction at `pos` as safe (retirement-bound for
-    /// the scheme's shadow model) or still speculative.
-    fn is_safe(&self, view: &SafetyView, pos: usize) -> bool;
+    /// Classifies the in-flight instruction `seq` as safe
+    /// (retirement-bound for the scheme's shadow model) or still
+    /// speculative, given the current safety frontier. Must be monotone
+    /// in age — if `seq` is safe, so is every older in-flight
+    /// instruction — as every frontier comparison is: safe promotion
+    /// stops at the first unsafe deferred load.
+    fn is_safe(&self, view: &SafetyView, seq: u64) -> bool;
 
     /// Plans the data access of a load that is **not** safe.
     fn plan_unsafe_load(&mut self, ctx: &UnsafeLoadCtx) -> LoadPlan;
@@ -171,10 +201,10 @@ pub trait SpeculationScheme: std::fmt::Debug + Send + Sync {
         let _ = (hierarchy, core, spec_filled_lines);
     }
 
-    /// Scheduler hook: returning `true` stalls issue of the instruction at
-    /// `pos` this cycle (the §5.2 basic fence defense).
-    fn blocks_issue(&self, view: &SafetyView, pos: usize) -> bool {
-        let _ = (view, pos);
+    /// Scheduler hook: returning `true` stalls issue of instruction `seq`
+    /// this cycle (the §5.2 basic fence defense).
+    fn blocks_issue(&self, view: &SafetyView, seq: u64) -> bool {
+        let _ = (view, seq);
         false
     }
 
@@ -217,7 +247,7 @@ impl SpeculationScheme for Unprotected {
         "Unprotected".to_owned()
     }
 
-    fn is_safe(&self, _view: &SafetyView, _pos: usize) -> bool {
+    fn is_safe(&self, _view: &SafetyView, _seq: u64) -> bool {
         true
     }
 
@@ -248,7 +278,7 @@ mod tests {
     fn spectre_safety_tracks_unresolved_branches() {
         let mut f = vec![flags(0), flags(1), flags(2)];
         f[1].unresolved_branch = true;
-        let v = SafetyView::new(f);
+        let v = SafetyView::from_flags(f);
         assert!(v.spectre_safe(0));
         assert!(v.spectre_safe(1)); // the branch itself is safe
         assert!(!v.spectre_safe(2)); // shadowed by the branch
@@ -258,7 +288,7 @@ mod tests {
     fn futuristic_safety_is_stricter() {
         let mut f = vec![flags(0), flags(1), flags(2)];
         f[0].load_incomplete = true;
-        let v = SafetyView::new(f);
+        let v = SafetyView::from_flags(f);
         assert!(v.spectre_safe(2), "no branches -> spectre safe");
         assert!(!v.futuristic_safe(1), "older incomplete load blocks");
         assert!(!v.futuristic_safe(2));
@@ -269,29 +299,37 @@ mod tests {
     fn store_addresses_block_futuristic() {
         let mut f = vec![flags(0), flags(1)];
         f[0].store_addr_unknown = true;
-        let v = SafetyView::new(f);
+        let v = SafetyView::from_flags(f);
         assert!(!v.futuristic_safe(1));
+        assert!(!v.store_addrs_known(1));
+        assert!(v.store_addrs_known(0));
     }
 
     #[test]
-    fn fences_block_by_position() {
+    fn fences_block_younger_instructions_only() {
         let mut f = vec![flags(0), flags(1), flags(2)];
         f[1].fence = true;
-        let v = SafetyView::new(f);
+        let v = SafetyView::from_flags(f);
         assert!(!v.fence_blocked(1));
         assert!(v.fence_blocked(2));
     }
 
     #[test]
-    fn position_lookup_by_seq() {
-        let v = SafetyView::new(vec![flags(5), flags(9), flags(12)]);
-        assert_eq!(v.position_of(9), Some(1));
-        assert_eq!(v.position_of(7), None);
+    fn the_frontier_is_the_oldest_flagged_seq_with_gaps() {
+        // Live seqs have gaps after a squash; only order matters.
+        let mut f = vec![flags(5), flags(9), flags(12)];
+        f[1].unresolved_branch = true;
+        f[2].unresolved_branch = true;
+        let v = SafetyView::from_flags(f);
+        assert_eq!(v.branch, 9);
+        assert_eq!(v.load, SafetyView::NONE);
+        assert!(v.spectre_safe(9) && !v.spectre_safe(12));
+        assert_eq!(SafetyView::from_flags([]), SafetyView::CLEAR);
     }
 
     #[test]
     fn unprotected_never_restricts() {
-        let v = SafetyView::new(vec![flags(0)]);
+        let v = SafetyView::from_flags([flags(0)]);
         let s = Unprotected;
         assert!(s.is_safe(&v, 0));
         assert!(!s.blocks_issue(&v, 0));

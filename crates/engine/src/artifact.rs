@@ -1,7 +1,7 @@
 //! Process-wide, content-addressed **artifact cache** for derived
 //! in-memory values that are expensive to build and shared across many
-//! units: decoded trace containers, replay plans, warmed machine
-//! checkpoints.
+//! units: decoded trace containers, replay plans, memoized interval
+//! outcomes.
 //!
 //! The unit store ([`crate::store::PackStore`]) deduplicates *whole
 //! unit outcomes* across runs; this cache deduplicates the *preparation
@@ -48,7 +48,7 @@ struct Counters {
 /// endpoints and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArtifactStats {
-    /// The namespace (`"trace"`, `"plan"`, `"checkpoint"`, …).
+    /// The namespace (`"trace"`, `"plan"`, `"interval"`, …).
     pub namespace: &'static str,
     /// Distinct keys currently resident.
     pub entries: usize,

@@ -15,9 +15,12 @@
 //!   driven through [`Machine::advance`] (`pipeline_advance`, the
 //!   idle-cycle-skipping path) and through per-cycle [`Machine::step`]
 //!   (`pipeline_step`) — their ratio is the event-skip speedup on a
-//!   compute-bound kernel (memory-bound kernels skip far more);
+//!   compute-bound kernel (memory-bound kernels skip far more); the
+//!   `pipeline_step` tiers are also gated against the calibration kernel,
+//!   as the absolute cost of a simulated cycle;
 //! * **trial** — one end-to-end covert-channel attack trial, the unit of
-//!   every Monte-Carlo figure in the paper;
+//!   every Monte-Carlo figure in the paper (the MSHR trial is gated
+//!   against the calibration kernel too);
 //! * **engine** — the execution engine's own overhead: empty-unit
 //!   dispatch through the work-stealing scheduler (`engine_dispatch/*`,
 //!   gated against the calibration kernel), and the per-unit cost of
@@ -351,13 +354,11 @@ fn pointer_chase_program() -> Program {
     asm.assemble().expect("static program assembles")
 }
 
-fn bench_pipeline(samples: usize, out: &mut Vec<Measured>) {
-    let programs = [
-        ("alu_loop_2k", alu_loop_program()),
-        ("pointer_chase_200", pointer_chase_program()),
-    ];
+/// The pipeline tiers over `programs` (`(name, program)` pairs): each
+/// program through the idle-skipping and the per-cycle driver.
+fn pipeline_tiers<'a>(programs: &'a [(&'static str, Program)]) -> Vec<Tier<'a>> {
     let mut tiers = Vec::new();
-    for (name, program) in &programs {
+    for (name, program) in programs {
         let cycles = {
             let mut m = Machine::new(MachineConfig::default());
             m.load_program(0, program);
@@ -389,20 +390,29 @@ fn bench_pipeline(samples: usize, out: &mut Vec<Measured>) {
             },
         ));
     }
-    out.extend(measure_round_robin(samples, tiers));
+    tiers
 }
 
-fn bench_trials(samples: usize, out: &mut Vec<Measured>) {
-    // One scored attack-grid bit trial (the `sia attack` unit), reference
-    // calibration included once up front as the grid runner does it.
-    let cell = si_attack::AttackScenario::new(
+/// The attack-grid cell behind the MSHR trial tiers.
+fn mshr_cell() -> si_attack::AttackScenario {
+    si_attack::AttackScenario::new(
         si_attack::InterferenceVariant::MshrPressure,
         SchemeKind::InvisiSpecSpectre,
         si_cpu::GeometryPreset::KabyLake,
         si_cpu::NoisePreset::Quiet,
-    );
-    let prepared = cell.prepare();
-    let mut scratch_cell = cell;
+    )
+}
+
+/// One scored attack-grid bit trial (the `sia attack` unit) forked from
+/// the `prepared` cell's parked checkpoint, as every grid trial is.
+fn mshr_trial_tier(prepared: &si_attack::PreparedScenario) -> Tier<'_> {
+    Tier::new("trial_e2e/attack_mshr_invisispec", 1, "trial", move || {
+        prepared.run_bit_trial(1, 42);
+    })
+}
+
+fn bench_trials(samples: usize, prepared: &si_attack::PreparedScenario, out: &mut Vec<Measured>) {
+    let mut scratch_cell = mshr_cell();
     scratch_cell.disable_checkpoint = true;
     let scratch = scratch_cell.prepare();
     let mut tiers = Vec::new();
@@ -433,14 +443,6 @@ fn bench_trials(samples: usize, out: &mut Vec<Measured>) {
             },
         ));
     }
-    tiers.push(Tier::new(
-        "trial_e2e/attack_mshr_invisispec",
-        1,
-        "trial",
-        || {
-            prepared.run_bit_trial(1, 42);
-        },
-    ));
     // The fork-vs-scratch pair behind the `trial_fork_over_scratch`
     // ratio: the same grid unit once through the checkpoint fork and once
     // through the `--no-checkpoint` differential path. Both emit the
@@ -637,9 +639,9 @@ fn bench_trace(samples: usize, out: &mut Vec<Measured>) {
         },
     ));
     // Warm tier: the same unit against a hot artifact cache — the
-    // decoded trace, replay plan, and per-interval warm checkpoints are
-    // all shared, so each call pays one checkpoint fork plus the
-    // simulation itself. The untimed warmup pass populates the cache;
+    // decoded trace, replay plan, and every interval's simulated outcome
+    // are memoized, so a warm call pays no machine fork and no
+    // simulation: it hits the interval memo. The untimed warmup pass populates the cache;
     // results are byte-identical to the cold tier by contract. 32
     // replays per sample: a single warm replay is tens of microseconds,
     // so batching keeps the min-of-samples stable enough for the ratio
@@ -720,10 +722,15 @@ fn calib_tier() -> Tier<'static> {
 /// geomean over the measured tiers of *reference min ÷ tier min*. A
 /// reference ending in `/` pairs each measured tier with the reference
 /// tier of the same suffix; any other reference is one tier divided by
-/// every measured tier (the calibration kernel).
+/// every measured tier (the calibration kernel). The three per-tier
+/// `*_over_calib` rows hold the absolute cost of a simulated cycle and of
+/// an attack trial.
 #[rustfmt::skip]
-const RATIOS: [(&str, &str, &str); 7] = [
+const RATIOS: [(&str, &str, &str); 10] = [
     ("policy_flat_over_calib", CALIB_ID, "policy_flat/"),
+    ("pipeline_step_alu_over_calib", CALIB_ID, "pipeline_step/alu_loop_2k"),
+    ("pipeline_step_chase_over_calib", CALIB_ID, "pipeline_step/pointer_chase_200"),
+    ("trial_mshr_over_calib", CALIB_ID, "trial_e2e/attack_mshr_invisispec"),
     ("pipeline_advance_over_step", "pipeline_step/", "pipeline_advance/"),
     ("engine_dispatch_over_calib", CALIB_ID, "engine_dispatch/"),
     ("trial_fork_over_scratch", "trial_scratch/", "trial_fork/"),
@@ -766,17 +773,23 @@ pub fn run_benches(quick: bool) -> Json {
     // bench that the ratio-of-minima stays stable: the CI gate compares
     // quick-mode ratios against the committed baseline, so quick-mode
     // variance directly sets the gate's false-positive rate.
-    let (pipeline_samples, trial_samples, engine_samples) =
-        if quick { (8, 8, 16) } else { (10, 16, 16) };
-    // The calibration-gated tiers are cheap: the same rounds in both
-    // modes.
+    let (trial_samples, engine_samples) = if quick { (8, 16) } else { (16, 16) };
+    let programs = [
+        ("alu_loop_2k", alu_loop_program()),
+        ("pointer_chase_200", pointer_chase_program()),
+    ];
+    let prepared = mshr_cell().prepare();
+    // Every calibration-gated tier is timed in one round-robin with the
+    // calibration kernel, so host load hits both sides of each ratio
+    // alike. They are cheap: the same rounds in both modes.
     let mut gated = vec![calib_tier()];
     gated.extend(policy_tiers());
     gated.push(dispatch_tier());
     gated.push(store_tier());
+    gated.extend(pipeline_tiers(&programs));
+    gated.push(mshr_trial_tier(&prepared));
     let mut benches = measure_round_robin(CALIB_ROUNDS, gated);
-    bench_pipeline(pipeline_samples, &mut benches);
-    bench_trials(trial_samples, &mut benches);
+    bench_trials(trial_samples, &prepared, &mut benches);
     bench_checkpoint(engine_samples, &mut benches);
     bench_engine(engine_samples, &mut benches);
     bench_trace(engine_samples, &mut benches);

@@ -97,7 +97,7 @@ flags are one filters array):
     --print            also print the result document to stdout
     --no-wall-time     omit wall_time_ms (bit-stable output)
     --no-artifact-cache  sweep: disable the in-process artifact cache (shared
-                       decoded traces, replay plans, warm checkpoints);
+                       decoded traces, replay plans, interval outcomes);
                        output is byte-identical either way — the trace
                        CI job diffs the two to prove it
 

@@ -171,8 +171,8 @@ fn store_stats(state: &ServeState, resp: &mut Responder) {
         .store()
         .map(|s| s.stats(crate::CODE_EPOCH))
         .unwrap_or_default();
-    // In-process artifact cache (decoded traces, replay plans, warm
-    // checkpoints), one entry per namespace in deterministic order.
+    // In-process artifact cache (decoded traces, replay plans, interval
+    // outcomes), one entry per namespace in deterministic order.
     let artifact = si_engine::ArtifactCache::global()
         .stats()
         .into_iter()

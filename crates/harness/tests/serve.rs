@@ -313,6 +313,33 @@ fn protocol_errors_are_status_codes_never_panics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh connection is accepted at once, not at the next tick of an
+/// accept poll: 20 one-shot `GET /healthz` requests, each on its own
+/// connection, take well under the ~400 ms a 20 ms poll costs them.
+#[test]
+fn fresh_connections_are_accepted_without_a_poll_delay() {
+    let (handle, dir) = daemon("accept");
+    // Warm the handler path once so the timed loop measures accepts.
+    assert_eq!(
+        request(&handle.addr, "GET", "/healthz", &[], b"")
+            .expect("warm")
+            .status,
+        200
+    );
+    let start = std::time::Instant::now();
+    for i in 0..20 {
+        let resp = request(&handle.addr, "GET", "/healthz", &[], b"").expect("healthz");
+        assert_eq!(resp.status, 200, "request {i}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(100),
+        "20 fresh connections took {elapsed:?}"
+    );
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A 400 KB body of 200k `[` then 200k `]` — under the 4 MiB body cap —
 /// used to recurse the JSON parser off its connection thread's stack
 /// and abort the daemon. It is a 400 now, and the daemon stays up.

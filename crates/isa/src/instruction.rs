@@ -207,16 +207,17 @@ impl Instruction {
     ///
     /// Reads of the hardwired-zero register are included (the rename stage
     /// short-circuits them, but dependence analysis is simpler when the
-    /// operand shape is uniform).
-    pub fn reads(&self) -> Vec<Reg> {
-        match self.opcode {
+    /// operand shape is uniform). Allocation-free: the rename stage calls
+    /// this for every dispatched instruction.
+    pub fn reads(&self) -> impl Iterator<Item = Reg> {
+        let count = match self.opcode {
             Opcode::Nop
             | Opcode::MovImm
             | Opcode::Jump
             | Opcode::Fence
             | Opcode::Rdtsc
-            | Opcode::Halt => vec![],
-            Opcode::Sqrt | Opcode::AddImm | Opcode::Load | Opcode::Flush => vec![self.src1],
+            | Opcode::Halt => 0,
+            Opcode::Sqrt | Opcode::AddImm | Opcode::Load | Opcode::Flush => 1,
             Opcode::Add
             | Opcode::Sub
             | Opcode::And
@@ -227,8 +228,9 @@ impl Instruction {
             | Opcode::Mul
             | Opcode::Div
             | Opcode::Store
-            | Opcode::Branch => vec![self.src1, self.src2],
-        }
+            | Opcode::Branch => 2,
+        };
+        [self.src1, self.src2].into_iter().take(count)
     }
 
     /// Returns the register this instruction writes, if any.
@@ -315,14 +317,29 @@ mod tests {
 
     #[test]
     fn reads_and_writes_cover_operand_shapes() {
-        assert_eq!(Instruction::add(R3, R1, R2).reads(), vec![R1, R2]);
+        assert_eq!(
+            Instruction::add(R3, R1, R2).reads().collect::<Vec<_>>(),
+            vec![R1, R2]
+        );
         assert_eq!(Instruction::add(R3, R1, R2).writes(), Some(R3));
-        assert_eq!(Instruction::load(R3, R1, 8).reads(), vec![R1]);
-        assert_eq!(Instruction::store(R2, R1, 8).reads(), vec![R1, R2]);
+        assert_eq!(
+            Instruction::load(R3, R1, 8).reads().collect::<Vec<_>>(),
+            vec![R1]
+        );
+        assert_eq!(
+            Instruction::store(R2, R1, 8).reads().collect::<Vec<_>>(),
+            vec![R1, R2]
+        );
         assert_eq!(Instruction::store(R2, R1, 8).writes(), None);
-        assert_eq!(Instruction::sqrt(R3, R1).reads(), vec![R1]);
-        assert_eq!(Instruction::mov_imm(R3, 5).reads(), vec![]);
-        assert_eq!(Instruction::halt().reads(), vec![]);
+        assert_eq!(
+            Instruction::sqrt(R3, R1).reads().collect::<Vec<_>>(),
+            vec![R1]
+        );
+        assert_eq!(
+            Instruction::mov_imm(R3, 5).reads().collect::<Vec<_>>(),
+            vec![]
+        );
+        assert_eq!(Instruction::halt().reads().collect::<Vec<_>>(), vec![]);
     }
 
     #[test]

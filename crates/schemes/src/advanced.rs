@@ -79,8 +79,8 @@ impl SpeculationScheme for AdvancedDefense {
         )
     }
 
-    fn is_safe(&self, view: &SafetyView, pos: usize) -> bool {
-        self.shadow.is_safe(view, pos)
+    fn is_safe(&self, view: &SafetyView, seq: u64) -> bool {
+        self.shadow.is_safe(view, seq)
     }
 
     fn plan_unsafe_load(&mut self, ctx: &UnsafeLoadCtx) -> LoadPlan {

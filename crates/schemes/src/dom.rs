@@ -75,8 +75,8 @@ impl SpeculationScheme for DelayOnMiss {
         format!("DoM-{}", self.shadow.suffix())
     }
 
-    fn is_safe(&self, view: &SafetyView, pos: usize) -> bool {
-        self.shadow.is_safe(view, pos)
+    fn is_safe(&self, view: &SafetyView, seq: u64) -> bool {
+        self.shadow.is_safe(view, seq)
     }
 
     fn plan_unsafe_load(&mut self, ctx: &UnsafeLoadCtx) -> LoadPlan {

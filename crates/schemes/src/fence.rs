@@ -42,7 +42,7 @@ use crate::ShadowModel;
 ///     fence: false,
 /// };
 /// let younger = SafetyFlags { seq: 1, unresolved_branch: false, ..branch };
-/// let view = SafetyView::new(vec![branch, younger]);
+/// let view = SafetyView::from_flags([branch, younger]);
 /// assert!(!fence.blocks_issue(&view, 0));
 /// assert!(fence.blocks_issue(&view, 1));
 /// ```
@@ -72,8 +72,8 @@ impl SpeculationScheme for FenceDefense {
         format!("Fence-{}", self.model.suffix())
     }
 
-    fn is_safe(&self, view: &SafetyView, pos: usize) -> bool {
-        self.model.is_safe(view, pos)
+    fn is_safe(&self, view: &SafetyView, seq: u64) -> bool {
+        self.model.is_safe(view, seq)
     }
 
     fn plan_unsafe_load(&mut self, _ctx: &UnsafeLoadCtx) -> LoadPlan {
@@ -84,8 +84,8 @@ impl SpeculationScheme for FenceDefense {
         LoadPlan::Delay
     }
 
-    fn blocks_issue(&self, view: &SafetyView, pos: usize) -> bool {
-        !self.model.is_safe(view, pos)
+    fn blocks_issue(&self, view: &SafetyView, seq: u64) -> bool {
+        !self.model.is_safe(view, seq)
     }
 }
 
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn issue_blocked_behind_unresolved_branch() {
         let fence = FenceDefense::new(ShadowModel::Spectre);
-        let v = SafetyView::new(vec![flags(0, true), flags(1, false)]);
+        let v = SafetyView::from_flags([flags(0, true), flags(1, false)]);
         assert!(!fence.blocks_issue(&v, 0), "the branch itself may issue");
         assert!(fence.blocks_issue(&v, 1), "younger instruction is fenced");
     }
@@ -117,7 +117,7 @@ mod tests {
         let fence = FenceDefense::new(ShadowModel::Futuristic);
         let mut f = vec![flags(0, false), flags(1, false)];
         f[0].load_incomplete = true;
-        let v = SafetyView::new(f);
+        let v = SafetyView::from_flags(f);
         assert!(fence.blocks_issue(&v, 1));
         let spectre = FenceDefense::new(ShadowModel::Spectre);
         assert!(!spectre.blocks_issue(&v, 1));

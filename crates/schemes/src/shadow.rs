@@ -28,7 +28,7 @@ use si_cpu::SafetyView;
 ///     fence: false,
 /// };
 /// let younger = SafetyFlags { seq: 1, load_incomplete: false, ..older };
-/// let view = SafetyView::new(vec![older, younger]);
+/// let view = SafetyView::from_flags([older, younger]);
 /// assert!(ShadowModel::Spectre.is_safe(&view, 1));
 /// assert!(ShadowModel::NonTso.is_safe(&view, 1));
 /// assert!(!ShadowModel::Futuristic.is_safe(&view, 1));
@@ -52,14 +52,12 @@ pub enum ShadowModel {
 }
 
 impl ShadowModel {
-    /// Classifies the ROB entry at `pos` under this model.
-    pub fn is_safe(self, view: &SafetyView, pos: usize) -> bool {
+    /// Classifies the in-flight instruction `seq` under this model.
+    pub fn is_safe(self, view: &SafetyView, seq: u64) -> bool {
         match self {
-            ShadowModel::Spectre => view.spectre_safe(pos),
-            ShadowModel::NonTso => {
-                view.spectre_safe(pos) && (0..pos).all(|i| !view.flags(i).store_addr_unknown)
-            }
-            ShadowModel::Futuristic => view.futuristic_safe(pos),
+            ShadowModel::Spectre => view.spectre_safe(seq),
+            ShadowModel::NonTso => view.spectre_safe(seq) && view.store_addrs_known(seq),
+            ShadowModel::Futuristic => view.futuristic_safe(seq),
         }
     }
 
@@ -94,7 +92,7 @@ mod tests {
         // Futuristic-safe.
         let mut f = vec![flags(0), flags(1)];
         f[0].load_incomplete = true;
-        let v = SafetyView::new(f);
+        let v = SafetyView::from_flags(f);
         assert!(ShadowModel::Spectre.is_safe(&v, 1));
         assert!(ShadowModel::NonTso.is_safe(&v, 1));
         assert!(!ShadowModel::Futuristic.is_safe(&v, 1));
@@ -104,7 +102,7 @@ mod tests {
     fn non_tso_blocks_on_unknown_store_addresses() {
         let mut f = vec![flags(0), flags(1)];
         f[0].store_addr_unknown = true;
-        let v = SafetyView::new(f);
+        let v = SafetyView::from_flags(f);
         assert!(ShadowModel::Spectre.is_safe(&v, 1));
         assert!(!ShadowModel::NonTso.is_safe(&v, 1));
         assert!(!ShadowModel::Futuristic.is_safe(&v, 1));
@@ -114,7 +112,7 @@ mod tests {
     fn all_models_agree_on_branch_shadows() {
         let mut f = vec![flags(0), flags(1)];
         f[0].unresolved_branch = true;
-        let v = SafetyView::new(f);
+        let v = SafetyView::from_flags(f);
         for m in [
             ShadowModel::Spectre,
             ShadowModel::NonTso,

@@ -485,7 +485,7 @@ pub fn run(
 /// Runs a committed sample trace under one scheme: weighted sampled
 /// replay of the trace's representative intervals, through the
 /// process-wide artifact cache ([`replay_trace_cached`]) — the decoded
-/// trace, its replay plan, and per-interval warm checkpoints are shared
+/// trace, its replay plan, and quiet-noise interval outcomes are shared
 /// across calls, with results identical to uncached
 /// [`si_trace::replay_sampled`]. The checksum verification of kernel
 /// runs does not apply — a sampled replay never computes the full

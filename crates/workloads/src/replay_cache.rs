@@ -7,33 +7,32 @@
 //! cell that depend only on the trace (or on the trace plus the cell's
 //! machine shape): decoding the `.sit` payload, the interpreter
 //! fast-forward that builds the [`ReplayPlan`], and the machine warm-up
-//! per representative interval. [`replay_trace_cached`] shares each of
-//! them at its natural granularity:
+//! and simulation per representative interval. [`replay_trace_cached`]
+//! shares each of them at its natural granularity:
 //!
 //! | namespace    | key                                            | artifact |
 //! |--------------|------------------------------------------------|----------|
 //! | `trace`      | fixture content digest                         | decoded [`TraceFile`] (see [`SampleTrace::decode_shared`](crate::SampleTrace::decode_shared)) |
 //! | `program`    | fixture content digest                         | program-only decode (see [`SampleTrace::program_shared`](crate::SampleTrace::program_shared)) |
 //! | `plan`       | trace content digest                           | [`ReplayPlan`] build result |
-//! | `checkpoint` | trace digest · interval · config fingerprint (noise seed zeroed) · scheme label | warmed-machine [`MachineCheckpoint`] |
-//! | `interval`   | checkpoint key · cycle budget                  | simulated interval outcome ([`CoreStats`]) |
+//! | `interval`   | trace digest · interval · config fingerprint (noise seed zeroed) · scheme label · cycle budget | simulated interval outcome ([`CoreStats`]) |
 //!
 //! Correctness invariant: **cached and uncached replay are
-//! byte-identical.** The plan is a pure function of the trace; the
-//! checkpoint path is used only when forking is provably equivalent to
-//! rebuilding — checkpointing not disabled and the noise model quiet
+//! byte-identical.** The plan is a pure function of the trace; interval
+//! outcomes are memoized only when they provably do not depend on the
+//! unit's seed — checkpointing not disabled and the noise model quiet
 //! (`dram_jitter == 0` and `background_period == 0`), so no RNG stream
-//! is consumed before the capture point and reseeding at fork time
-//! ([`MachineCheckpoint::fork_with_seed`]) reproduces a from-scratch
-//! machine exactly. Noisy or checkpoint-averse configs silently take
-//! the uncached warm-up, same results, no stale sharing. Per-unit noise
-//! seeds stay out of the checkpoint key (the fingerprint is taken with
-//! `noise.seed = 0`) and are reapplied at fork time, so all trials of a
-//! cell share one checkpoint.
+//! is ever drawn. Noisy or checkpoint-averse configs silently take the
+//! uncached warm-up, same results, no stale sharing. Per-unit noise
+//! seeds stay out of the memo key (the fingerprint is taken with
+//! `noise.seed = 0`), so all trials of a cell share one outcome per
+//! interval. A memo miss warms its machine from the plan directly: the
+//! warmed machine is needed once per key, so keeping it for forking
+//! would only hold memory.
 
 use std::sync::Arc;
 
-use si_cpu::{CoreStats, MachineCheckpoint, MachineConfig};
+use si_cpu::{CoreStats, MachineConfig};
 use si_engine::ArtifactCache;
 use si_schemes::SchemeKind;
 use si_trace::{fnv1a64, ReplayError, ReplayOutcome, ReplayPlan, TraceFile};
@@ -57,9 +56,9 @@ pub fn shared_plan(trace: &TraceFile, digest: u64) -> Result<Arc<ReplayPlan>, Re
     }
 }
 
-/// Whether forking a cached checkpoint is byte-equivalent to building
-/// the warm machine from scratch under `config` (see module docs).
-fn checkpoint_eligible(cache: &ArtifactCache, config: &MachineConfig) -> bool {
+/// Whether a memoized interval outcome is byte-equivalent to simulating
+/// the interval under `config` (see module docs).
+fn interval_memo_eligible(cache: &ArtifactCache, config: &MachineConfig) -> bool {
     cache.enabled()
         && !config.disable_checkpoint
         && config.noise.dram_jitter == 0
@@ -67,7 +66,7 @@ fn checkpoint_eligible(cache: &ArtifactCache, config: &MachineConfig) -> bool {
 }
 
 /// Sampled replay of `trace` under `scheme`, sharing the replay plan
-/// and (when provably safe) per-interval warm checkpoints across calls.
+/// and (when provably safe) per-interval outcomes across calls.
 /// Cycle-for-cycle identical to
 /// [`si_trace::replay_sampled`] with the same arguments — caching
 /// changes wall-clock time, never results.
@@ -91,19 +90,15 @@ pub fn replay_trace_cached(
     }
     let cache = ArtifactCache::global();
     let plan = shared_plan(trace, digest)?;
-    if !checkpoint_eligible(cache, config) {
+    if !interval_memo_eligible(cache, config) {
         return si_trace::replay_planned(&plan, config, &|| scheme.build(), max_cycles);
     }
-    // Checkpoints and outcomes are keyed by the canonical config
-    // (per-unit noise seed zeroed): under a quiet noise model neither
-    // RNG stream is ever drawn — `dram_jitter == 0` skips the DRAM
-    // jitter draw and `background_period == 0` returns before the
-    // background agent's draws — so warm-up and simulation are exactly
-    // seed-independent and all trials of a cell may share one
-    // checkpoint *and* one simulated outcome. The caller's seed is
-    // still reapplied at fork time, keeping the forked machine
-    // byte-equivalent to a from-scratch build under the caller's
-    // config.
+    // Outcomes are keyed by the canonical config (per-unit noise seed
+    // zeroed): under a quiet noise model neither RNG stream is ever
+    // drawn — `dram_jitter == 0` skips the DRAM jitter draw and
+    // `background_period == 0` returns before the background agent's
+    // draws — so warm-up and simulation are exactly seed-independent and
+    // all trials of a cell may share one simulated outcome.
     let mut canon = config.clone();
     canon.noise.seed = 0;
     let cfg_fp = fnv1a64(canon.fingerprint().as_bytes());
@@ -111,31 +106,18 @@ pub fn replay_trace_cached(
     let mut simulated_instr = 0u64;
     let mut intervals_run = 0u64;
     for idx in 0..plan.intervals.len() {
-        let key = format!("{digest:016x}:{idx}:{cfg_fp:016x}:{}", scheme.label());
         // The simulated interval outcome is memoized per
         // (trace, interval, config, scheme, budget) — the in-process
-        // analogue of the unit store's whole-unit memoization, sound
-        // for exactly the configs where checkpointing is. The budget
+        // analogue of the unit store's whole-unit memoization. The budget
         // joins the key because it decides timeouts.
-        let outcome_key = format!("{key}:{max_cycles}");
-        let cache_for_build = cache;
-        let plan_for_build = Arc::clone(&plan);
-        let canon_for_build = canon.clone();
-        let seed = config.noise.seed;
+        let key = format!(
+            "{digest:016x}:{idx}:{cfg_fp:016x}:{}:{max_cycles}",
+            scheme.label()
+        );
         let outcome: Arc<Result<CoreStats, ReplayError>> =
-            cache.get_or_build("interval", &outcome_key, move || {
-                let plan_for_ckpt = Arc::clone(&plan_for_build);
-                let canon_for_ckpt = canon_for_build.clone();
-                let ckpt: Arc<MachineCheckpoint> =
-                    cache_for_build.get_or_build("checkpoint", &key, move || {
-                        MachineCheckpoint::from_machine(plan_for_ckpt.warm_machine(
-                            idx,
-                            &canon_for_ckpt,
-                            scheme.build(),
-                        ))
-                    });
-                let mut m = ckpt.fork_with_seed(seed);
-                plan_for_build.run_interval(idx, &mut m, max_cycles)
+            cache.get_or_build("interval", &key, || {
+                let mut m = plan.warm_machine(idx, config, scheme.build());
+                plan.run_interval(idx, &mut m, max_cycles)
             });
         let stats = match outcome.as_ref() {
             Ok(stats) => *stats,
@@ -177,9 +159,9 @@ mod tests {
         }
     }
 
-    /// Checkpoint forks must reproduce per-seed noise behaviour: two
-    /// different unit seeds go through the same cached checkpoint and
-    /// must match from-scratch replay for each seed.
+    /// Memoized outcomes must stay seed-faithful: two different unit
+    /// seeds share the same memoized interval outcomes and must match
+    /// from-scratch replay for each seed.
     #[test]
     fn checkpoint_reuse_is_seed_faithful() {
         let t = SampleTrace::Sort;
@@ -227,9 +209,8 @@ mod tests {
         }
     }
 
-    /// A noisy config must bypass the checkpoint path (fork would not
-    /// be byte-equivalent) and still produce correct, deterministic
-    /// results.
+    /// A noisy config must bypass the interval memo (its outcome depends
+    /// on the seed) and still produce correct, deterministic results.
     #[test]
     fn noisy_configs_bypass_checkpoints_and_stay_correct() {
         let t = SampleTrace::Mixed;
