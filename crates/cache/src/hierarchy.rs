@@ -182,11 +182,6 @@ impl Hierarchy {
         &self.config
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     fn l1(&mut self, core: usize, class: AccessClass) -> &mut SetAssocCache {
         match class {
             AccessClass::Data => &mut self.cores[core].l1d,
@@ -511,16 +506,6 @@ impl Hierarchy {
     /// LLC statistics.
     pub fn llc_stats(&self) -> CacheStats {
         self.llc.stats()
-    }
-
-    /// A core's L1D statistics.
-    pub fn l1d_stats(&self, core: usize) -> CacheStats {
-        self.cores[core].l1d.stats()
-    }
-
-    /// A core's L1I statistics.
-    pub fn l1i_stats(&self, core: usize) -> CacheStats {
-        self.cores[core].l1i.stats()
     }
 
     /// Whether `addr`'s line is resident anywhere in the hierarchy.

@@ -272,8 +272,8 @@ impl Core {
     /// predictor from recorded history before simulating a sample
     /// interval. Does not count as a prediction or misprediction in
     /// [`predictor_stats`](Core::predictor_stats).
-    pub fn train_branch(&mut self, pc: u64, taken: bool, target: u64) {
-        self.predictor.update(pc, taken, target, false);
+    pub fn train_branch(&mut self, pc: u64, taken: bool) {
+        self.predictor.update(pc, taken, false);
     }
 
     /// Accumulated statistics.
@@ -296,25 +296,9 @@ impl Core {
         self.scheme.name()
     }
 
-    /// Current reorder-buffer occupancy.
-    pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
-    }
-
-    /// Current reservation-station occupancy.
-    pub fn rs_occupancy(&self) -> usize {
-        self.rs.occupancy()
-    }
-
     /// Branch predictor statistics `(predictions, mispredictions)`.
     pub fn predictor_stats(&self) -> (u64, u64) {
         self.predictor.stats()
-    }
-
-    /// Private (L1D) MSHRs currently in flight — the occupancy the
-    /// `G^D_MSHR` gadget drives to capacity.
-    pub fn mshr_in_flight(&self) -> usize {
-        self.mshrs.in_flight()
     }
 
     /// Peak simultaneous private-MSHR occupancy observed.
@@ -1055,7 +1039,7 @@ impl Core {
                     entry.completed_at = Some(now);
                     let pc = entry.pc;
                     let mispredicted = entry.mispredicted;
-                    self.predictor.update(pc, taken, next_pc, mispredicted);
+                    self.predictor.update(pc, taken, mispredicted);
                     if mispredicted {
                         self.pending_squash = Some(self.pending_squash.map_or(seq, |s| s.min(seq)));
                     }

@@ -173,11 +173,6 @@ impl ExecUnits {
         self.in_flight.is_empty() && self.busy_until.iter().all(|b| *b <= now)
     }
 
-    /// Number of operations in flight.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// Lifetime issue count per port (index = port number).
     pub fn issues_per_port(&self) -> &[u64] {
         &self.issues_per_port

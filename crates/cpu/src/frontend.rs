@@ -214,13 +214,8 @@ impl Frontend {
                     // frontend with nothing younger to squash.
                     u64::MAX
                 }
-                Opcode::Branch => {
-                    let pred = predictor.predict(pc, instr.target().expect("branch has target"));
-                    if pred.taken {
-                        pred.target
-                    } else {
-                        fallthrough
-                    }
+                Opcode::Branch if predictor.predict(pc) => {
+                    instr.target().expect("branch has target")
                 }
                 Opcode::Jump => instr.target().expect("jump has target"),
                 _ => fallthrough,
@@ -373,8 +368,8 @@ mod tests {
         let first = fe.pop().unwrap();
         assert_eq!(first.predicted_next, INSTR_BYTES, "weakly not-taken");
         // Train taken, redirect a fresh frontend.
-        bp.update(0, true, 0x100, false);
-        bp.update(0, true, 0x100, false);
+        bp.update(0, true, false);
+        bp.update(0, true, false);
         let mut fe2 = Frontend::new(0, 16, 4);
         // Line 0 is already warm in the L1I, so the first tick fetches; the
         // predicted-taken branch ends the fetch group after one instruction.

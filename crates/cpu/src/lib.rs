@@ -60,7 +60,7 @@ pub use exec::{ExecPayload, ExecUnits, InFlight};
 pub use frontend::{FetchOutcome, FetchedInstr, Frontend};
 pub use machine::{AgentOp, AgentTiming, Machine, Timeout};
 pub use memory::Memory;
-pub use predictor::{BranchPredictor, Prediction, Predictor, PredictorKind};
+pub use predictor::{BranchPredictor, Predictor, PredictorKind};
 pub use preset::{GeometryPreset, NoisePreset, PredictorPreset};
 pub use rob::{fresh_rat, EntryState, Rat, RegTag, Rob, RobEntry};
 pub use rs::{Operand, OperandList, ReservationStation, RsEntry};

@@ -1,4 +1,4 @@
-//! Branch prediction: per-PC 2-bit counters plus a branch target buffer.
+//! Branch prediction: per-PC 2-bit direction counters.
 //!
 //! The paper's attacks *mis-train* this structure (§4.1: "we trigger branch
 //! mispredictions by training the target branch in a given direction"). A
@@ -12,11 +12,11 @@
 //! let mut p = BranchPredictor::new(1024);
 //! // §4.1 mistraining: resolve the victim branch taken twice, driving
 //! // its 2-bit counter from weakly-not-taken to strongly-taken.
-//! p.update(0x68, true, 0x50, false);
-//! p.update(0x68, true, 0x50, false);
+//! p.update(0x68, true, false);
+//! p.update(0x68, true, false);
 //! // The attack iteration now predicts taken — the actual not-taken
 //! // outcome will squash, and the transient window is open.
-//! assert!(p.predict(0x68, 0x50).taken);
+//! assert!(p.predict(0x68));
 //! ```
 //!
 //! The per-PC table is the `p64`/`p1k`/`p8k` preset family; the `tage`
@@ -25,30 +25,17 @@
 //! *aliasing* (two branches sharing a counter), not mistraining — the
 //! §4.1 pattern above works at any size because attacker and victim
 //! train the *same* PC.
-
-use std::collections::HashMap;
+//!
+//! Predictors give only a direction. Every branch in this ISA is direct,
+//! so a branch predicted taken goes to its encoded target, and no target
+//! buffer is needed.
 
 use crate::tage::TagePredictor;
 
-/// A direction prediction and its target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Prediction {
-    /// Predicted taken?
-    pub taken: bool,
-    /// Predicted target address (meaningful when `taken`).
-    pub target: u64,
-}
-
-/// Per-PC 2-bit saturating counters with a BTB.
-///
-/// Counters start at 1 (weakly not-taken). The BTB records the last
-/// resolved taken-target per branch PC; a branch predicted taken without a
-/// BTB entry falls back to its (statically known) encoded target, which is
-/// exact for this ISA's direct branches.
+/// Per-PC 2-bit saturating counters, starting at 1 (weakly not-taken).
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
     counters: Vec<u8>,
-    btb: HashMap<u64, u64>,
     mask: u64,
     predicts: u64,
     mispredicts: u64,
@@ -64,7 +51,6 @@ impl BranchPredictor {
         assert!(entries.is_power_of_two(), "entries must be a power of two");
         BranchPredictor {
             counters: vec![1; entries],
-            btb: HashMap::new(),
             mask: entries as u64 - 1,
             predicts: 0,
             mispredicts: 0,
@@ -75,22 +61,18 @@ impl BranchPredictor {
         ((pc >> 3) & self.mask) as usize
     }
 
-    /// Predicts the branch at `pc` whose statically encoded target is
-    /// `static_target`.
-    pub fn predict(&mut self, pc: u64, static_target: u64) -> Prediction {
+    /// Predicts whether the branch at `pc` is taken.
+    pub fn predict(&mut self, pc: u64) -> bool {
         self.predicts += 1;
-        let taken = self.counters[self.index(pc)] >= 2;
-        let target = *self.btb.get(&pc).unwrap_or(&static_target);
-        Prediction { taken, target }
+        self.counters[self.index(pc)] >= 2
     }
 
     /// Trains on a resolved branch outcome.
-    pub fn update(&mut self, pc: u64, taken: bool, target: u64, mispredicted: bool) {
+    pub fn update(&mut self, pc: u64, taken: bool, mispredicted: bool) {
         let i = self.index(pc);
         let c = &mut self.counters[i];
         if taken {
             *c = (*c + 1).min(3);
-            self.btb.insert(pc, target);
         } else {
             *c = c.saturating_sub(1);
         }
@@ -141,20 +123,19 @@ impl Predictor {
         }
     }
 
-    /// Predicts the branch at `pc` whose statically encoded target is
-    /// `static_target`.
-    pub fn predict(&mut self, pc: u64, static_target: u64) -> Prediction {
+    /// Predicts whether the branch at `pc` is taken.
+    pub fn predict(&mut self, pc: u64) -> bool {
         match self {
-            Predictor::Bimodal(p) => p.predict(pc, static_target),
-            Predictor::Tage(p) => p.predict(pc, static_target),
+            Predictor::Bimodal(p) => p.predict(pc),
+            Predictor::Tage(p) => p.predict(pc),
         }
     }
 
     /// Trains on a resolved branch outcome.
-    pub fn update(&mut self, pc: u64, taken: bool, target: u64, mispredicted: bool) {
+    pub fn update(&mut self, pc: u64, taken: bool, mispredicted: bool) {
         match self {
-            Predictor::Bimodal(p) => p.update(pc, taken, target, mispredicted),
-            Predictor::Tage(p) => p.update(pc, taken, target, mispredicted),
+            Predictor::Bimodal(p) => p.update(pc, taken, mispredicted),
+            Predictor::Tage(p) => p.update(pc, taken, mispredicted),
         }
     }
 
@@ -174,19 +155,19 @@ mod tests {
     #[test]
     fn starts_weakly_not_taken() {
         let mut p = BranchPredictor::new(16);
-        assert!(!p.predict(0x40, 0x100).taken);
+        assert!(!p.predict(0x40));
     }
 
     #[test]
     fn training_flips_direction() {
         let mut p = BranchPredictor::new(16);
-        p.update(0x40, true, 0x100, false);
-        assert!(p.predict(0x40, 0x100).taken); // counter 1 -> 2
-        p.update(0x40, true, 0x100, false); // -> 3 (saturates)
-        p.update(0x40, false, 0, false); // -> 2, still taken
-        assert!(p.predict(0x40, 0x100).taken);
-        p.update(0x40, false, 0, false); // -> 1
-        assert!(!p.predict(0x40, 0x100).taken);
+        p.update(0x40, true, false);
+        assert!(p.predict(0x40)); // counter 1 -> 2
+        p.update(0x40, true, false); // -> 3 (saturates)
+        p.update(0x40, false, false); // -> 2, still taken
+        assert!(p.predict(0x40));
+        p.update(0x40, false, false); // -> 1
+        assert!(!p.predict(0x40));
     }
 
     #[test]
@@ -195,34 +176,24 @@ mod tests {
         // is predicted taken — the transient window.
         let mut p = BranchPredictor::new(64);
         for _ in 0..8 {
-            p.update(0x80, true, 0x200, false);
+            p.update(0x80, true, false);
         }
-        let pred = p.predict(0x80, 0x200);
-        assert!(pred.taken);
-        assert_eq!(pred.target, 0x200);
-    }
-
-    #[test]
-    fn btb_overrides_static_target() {
-        let mut p = BranchPredictor::new(16);
-        p.update(0x40, true, 0xbeef, false);
-        p.update(0x40, true, 0xbeef, false);
-        assert_eq!(p.predict(0x40, 0x100).target, 0xbeef);
+        assert!(p.predict(0x80));
     }
 
     #[test]
     fn distinct_pcs_do_not_alias_in_small_ranges() {
         let mut p = BranchPredictor::new(1024);
-        p.update(0x40, true, 1, false);
-        p.update(0x40, true, 1, false);
-        assert!(!p.predict(0x48, 2).taken, "neighbouring branch unaffected");
+        p.update(0x40, true, false);
+        p.update(0x40, true, false);
+        assert!(!p.predict(0x48), "neighbouring branch unaffected");
     }
 
     #[test]
     fn stats_count() {
         let mut p = BranchPredictor::new(16);
-        p.predict(0, 0);
-        p.update(0, true, 4, true);
+        p.predict(0);
+        p.update(0, true, true);
         assert_eq!(p.stats(), (1, 1));
     }
 }

@@ -39,14 +39,14 @@
 //! // Cold: no tagged bank matches, the base table provides (weakly
 //! // not-taken, like the bimodal predictor).
 //! assert_eq!(p.provider_history_len(0x40), None);
-//! assert!(!p.predict(0x40, 0x100).taken);
+//! assert!(!p.predict(0x40));
 //!
 //! // The base table mispredicts an alternating pattern eventually; the
 //! // misprediction allocates a tagged entry, which then provides.
 //! for i in 0..64u64 {
 //!     let taken = i % 2 == 0;
-//!     let pred = p.predict(0x40, 0x100);
-//!     p.update(0x40, taken, 0x100, pred.taken != taken);
+//!     let pred = p.predict(0x40);
+//!     p.update(0x40, taken, pred != taken);
 //! }
 //! assert!(p.provider_history_len(0x40).is_some());
 //! ```
@@ -67,10 +67,6 @@
 //! usefulness aging (the periodic column reset of Seznec §3.2) is
 //! omitted; workloads here are far shorter than the 256K-branch aging
 //! period.
-
-use std::collections::HashMap;
-
-use crate::predictor::Prediction;
 
 /// Geometric history lengths of the tagged banks, shortest first.
 pub const HIST_LENGTHS: [usize; BANKS] = [5, 15, 44, 130];
@@ -146,7 +142,6 @@ pub struct TagePredictor {
     /// Global history as a bit deque, newest bit at index `hist_pos`.
     hist: [bool; HIST_BITS],
     hist_pos: usize,
-    btb: HashMap<u64, u64>,
     predicts: u64,
     mispredicts: u64,
 }
@@ -175,7 +170,6 @@ impl TagePredictor {
             }),
             hist: [false; HIST_BITS],
             hist_pos: 0,
-            btb: HashMap::new(),
             predicts: 0,
             mispredicts: 0,
         }
@@ -216,25 +210,21 @@ impl TagePredictor {
         self.matches(pc).first().map(|&b| HIST_LENGTHS[b])
     }
 
-    /// Predicts the branch at `pc` whose statically encoded target is
-    /// `static_target`. Direction comes from the provider bank (or the
-    /// base table); the target from the BTB, falling back to the static
-    /// target exactly like the bimodal predictor.
-    pub fn predict(&mut self, pc: u64, static_target: u64) -> Prediction {
+    /// Predicts whether the branch at `pc` is taken: the provider bank's
+    /// counter, or the base table's when no bank matches.
+    pub fn predict(&mut self, pc: u64) -> bool {
         self.predicts += 1;
-        let taken = match self.matches(pc).first() {
+        match self.matches(pc).first() {
             Some(&b) => self.banks[b][self.index(b, pc)].ctr >= 0,
             None => self.base_taken(pc),
-        };
-        let target = *self.btb.get(&pc).unwrap_or(&static_target);
-        Prediction { taken, target }
+        }
     }
 
     /// Trains on a resolved branch outcome: updates the provider's
     /// counter, adjusts usefulness against the alternate prediction,
     /// allocates into a longer bank on misprediction, then shifts the
     /// outcome into the global history (and every folded register).
-    pub fn update(&mut self, pc: u64, taken: bool, target: u64, mispredicted: bool) {
+    pub fn update(&mut self, pc: u64, taken: bool, mispredicted: bool) {
         if mispredicted {
             self.mispredicts += 1;
         }
@@ -314,9 +304,6 @@ impl TagePredictor {
                 }
             }
         }
-        if taken {
-            self.btb.insert(pc, target);
-        }
         self.push_history(taken);
     }
 
@@ -348,25 +335,18 @@ mod tests {
     #[test]
     fn cold_predictor_is_weakly_not_taken() {
         let mut p = TagePredictor::new(64);
-        assert!(!p.predict(0x40, 0x100).taken);
+        assert!(!p.predict(0x40));
         assert_eq!(p.provider_history_len(0x40), None);
     }
 
     #[test]
     fn monotone_training_flips_direction_like_bimodal() {
         let mut p = TagePredictor::new(64);
-        p.update(0x40, true, 0x100, false);
-        assert!(p.predict(0x40, 0x100).taken, "base counter 1 -> 2");
-        p.update(0x40, false, 0, false);
-        p.update(0x40, false, 0, false);
-        assert!(!p.predict(0x40, 0x100).taken);
-    }
-
-    #[test]
-    fn btb_overrides_static_target() {
-        let mut p = TagePredictor::new(64);
-        p.update(0x40, true, 0xbeef, false);
-        assert_eq!(p.predict(0x40, 0x100).target, 0xbeef);
+        p.update(0x40, true, false);
+        assert!(p.predict(0x40), "base counter 1 -> 2");
+        p.update(0x40, false, false);
+        p.update(0x40, false, false);
+        assert!(!p.predict(0x40));
     }
 
     #[test]
@@ -378,12 +358,11 @@ mod tests {
         let mut late_wrong = 0;
         for i in 0..400u64 {
             let taken = i % 2 == 0;
-            let pred = p.predict(0x40, 0x100);
-            let wrong = pred.taken != taken;
+            let wrong = p.predict(0x40) != taken;
             if i >= 200 && wrong {
                 late_wrong += 1;
             }
-            p.update(0x40, taken, 0x100, wrong);
+            p.update(0x40, taken, wrong);
         }
         assert!(
             late_wrong <= 4,
@@ -405,8 +384,8 @@ mod tests {
             x ^= x << 17;
             let pc = 0x40 + (x % 64) * 8;
             let taken = (x >> 7) & 3 != 0;
-            let pred = p.predict(pc, pc + 0x100);
-            p.update(pc, taken, pc + 0x100, pred.taken != taken);
+            let pred = p.predict(pc);
+            p.update(pc, taken, pred != taken);
             let _ = i;
         }
         let (predicts, mispredicts) = p.stats();
@@ -424,19 +403,15 @@ mod tests {
         for i in 0..300u64 {
             let pc = 0x40 + (i % 7) * 8;
             let taken = (i * i) % 3 == 0;
-            a.predict(pc, 0x200);
-            a.predict(pc ^ 0x80, 0x300); // extra predicts on a only
-            b.predict(pc, 0x200);
-            a.update(pc, taken, 0x200, false);
-            b.update(pc, taken, 0x200, false);
+            a.predict(pc);
+            a.predict(pc ^ 0x80); // extra predicts on a only
+            b.predict(pc);
+            a.update(pc, taken, false);
+            b.update(pc, taken, false);
         }
         for i in 0..300u64 {
             let pc = 0x40 + (i % 7) * 8;
-            assert_eq!(
-                a.predict(pc, 0x200).taken,
-                b.predict(pc, 0x200).taken,
-                "divergence at pc {pc:#x}"
-            );
+            assert_eq!(a.predict(pc), b.predict(pc), "divergence at pc {pc:#x}");
         }
     }
 

@@ -59,17 +59,6 @@ pub struct ExecStats {
     pub coalesced: usize,
 }
 
-impl ExecStats {
-    /// Merges another batch's stats into this one (the `run` verb issues
-    /// one batch per experiment).
-    pub fn absorb(&mut self, other: ExecStats) {
-        self.total += other.total;
-        self.executed += other.executed;
-        self.cached += other.cached;
-        self.coalesced += other.coalesced;
-    }
-}
-
 /// One in-flight unit: executors publish the encoded payload (or `None`
 /// when the outcome is uncacheable) and wake every waiter.
 #[derive(Default)]
@@ -147,6 +136,12 @@ impl Engine {
     pub fn with_progress(mut self, progress: ProgressFn) -> Engine {
         self.progress = Some(progress);
         self
+    }
+
+    /// The worker threads a batch fans out over — also what a unit that
+    /// parallelizes internally (a whole paper experiment) is handed.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// The packed store this engine splices from, if any.

@@ -281,6 +281,36 @@ struct RowKey {
     variant: InterferenceVariant,
 }
 
+/// Executes bit-trial units through `engine`: unit `i` transmits
+/// `bits[i % bits.len()]` on cell `i / bits.len()`, seeded with its spec's
+/// seed. Both `sia attack` and the scan's confirm stage run their trials
+/// here.
+///
+/// A cell's shared state (the VD-AD reference calibration) resolves
+/// lazily: the first executing unit of a cell calibrates, later units
+/// reuse it, and a cell served entirely from cache never calibrates. The
+/// calibration is a deterministic function of the cell, so lazy vs eager
+/// resolution cannot change any outcome.
+pub(crate) fn run_bit_trials(
+    engine: &Engine,
+    specs: &[UnitSpec],
+    cells: &[&AttackScenario],
+    bits: &[u64],
+) -> (Vec<BitTrial>, ExecStats) {
+    let trials = bits.len();
+    let prepared: Vec<OnceLock<PreparedScenario>> = cells.iter().map(|_| OnceLock::new()).collect();
+    engine.run_units(
+        specs,
+        |i| {
+            let (cell, trial) = (i / trials, i % trials);
+            let p = prepared[cell].get_or_init(|| cells[cell].prepare());
+            p.run_bit_trial(bits[trial], specs[i].seed)
+        },
+        encode_trial,
+        decode_trial,
+    )
+}
+
 /// Serializes one bit-trial outcome for the unit cache.
 fn encode_trial(t: &BitTrial) -> Option<String> {
     let decoded = t.decoded.map_or("-".to_owned(), |d| d.to_string());
@@ -318,24 +348,11 @@ pub fn run_attack_grid(
         return Err("grid has no cells (an axis is empty)".into());
     }
     let cells = grid_cells(grid, &rows);
-
-    // Per-cell shared state (the VD-AD reference calibration) resolves
-    // lazily: the first executing unit of a cell calibrates, later units
-    // reuse it, and a cell served entirely from cache never calibrates.
-    // The calibration is a deterministic function of the cell, so lazy
-    // vs eager resolution cannot change any outcome.
-    let prepared: Vec<OnceLock<PreparedScenario>> = cells.iter().map(|_| OnceLock::new()).collect();
-    let bits = leakage::secret_bits(trials, seed);
-    let specs = grid.unit_specs(seed);
-    let (outcomes, stats) = engine.run_units(
-        &specs,
-        |i| {
-            let (cell, trial) = (i / trials, i % trials);
-            let p = prepared[cell].get_or_init(|| cells[cell].prepare());
-            p.run_bit_trial(bits[trial], specs[i].seed)
-        },
-        encode_trial,
-        decode_trial,
+    let (outcomes, stats) = run_bit_trials(
+        engine,
+        &grid.unit_specs(seed),
+        &cells.iter().collect::<Vec<_>>(),
+        &leakage::secret_bits(trials, seed),
     );
     Ok((
         attack_doc(grid, seed, trials, &rows, &cells, &outcomes),

@@ -403,19 +403,22 @@ fn mshr_cell() -> si_attack::AttackScenario {
     )
 }
 
-/// One scored attack-grid bit trial (the `sia attack` unit) forked from
-/// the `prepared` cell's parked checkpoint, as every grid trial is.
-fn mshr_trial_tier(prepared: &si_attack::PreparedScenario) -> Tier<'_> {
-    Tier::new("trial_e2e/attack_mshr_invisispec", 1, "trial", move || {
-        prepared.run_bit_trial(1, 42);
-    })
-}
-
-fn bench_trials(samples: usize, prepared: &si_attack::PreparedScenario, out: &mut Vec<Measured>) {
-    let mut scratch_cell = mshr_cell();
-    scratch_cell.disable_checkpoint = true;
-    let scratch = scratch_cell.prepare();
-    let mut tiers = Vec::new();
+/// The attack-trial tiers. `prepared` is the MSHR cell, `scratch` the
+/// same cell on the `--no-checkpoint` path.
+fn trial_tiers<'a>(
+    prepared: &'a si_attack::PreparedScenario,
+    scratch: &'a si_attack::PreparedScenario,
+) -> Vec<Tier<'a>> {
+    // One scored attack-grid bit trial (the `sia attack` unit) forked from
+    // the cell's parked checkpoint, as every grid trial is.
+    let mut tiers = vec![Tier::new(
+        "trial_e2e/attack_mshr_invisispec",
+        1,
+        "trial",
+        || {
+            prepared.run_bit_trial(1, 42);
+        },
+    )];
     for (name, kind, scheme) in [
         (
             "dcache_npeu_dom",
@@ -463,7 +466,7 @@ fn bench_trials(samples: usize, prepared: &si_attack::PreparedScenario, out: &mu
             scratch.run_bit_trial(1, 42);
         },
     ));
-    out.extend(measure_round_robin(samples, tiers));
+    tiers
 }
 
 /// The checkpoint layer's own primitives: one deep snapshot of a
@@ -766,30 +769,31 @@ fn speedup(benches: &[Measured], reference: &str, prefix: &str) -> Option<f64> {
 
 /// Runs the benchmark suite and returns the `BENCH_baseline.json` document.
 ///
-/// `quick` shrinks sample counts for CI smoke runs (the schema and bench
-/// set are identical; only the statistics get noisier).
+/// `quick` only labels the document: both modes take the same samples,
+/// because the CI gate compares quick-mode ratios against the committed
+/// baseline, so quick-mode variance would set the gate's false-positive
+/// rate.
 pub fn run_benches(quick: bool) -> Json {
-    // Quick mode trims the expensive tiers but keeps enough samples per
-    // bench that the ratio-of-minima stays stable: the CI gate compares
-    // quick-mode ratios against the committed baseline, so quick-mode
-    // variance directly sets the gate's false-positive rate.
-    let (trial_samples, engine_samples) = if quick { (8, 16) } else { (16, 16) };
+    let engine_samples = 16;
     let programs = [
         ("alu_loop_2k", alu_loop_program()),
         ("pointer_chase_200", pointer_chase_program()),
     ];
     let prepared = mshr_cell().prepare();
-    // Every calibration-gated tier is timed in one round-robin with the
-    // calibration kernel, so host load hits both sides of each ratio
-    // alike. They are cheap: the same rounds in both modes.
+    let mut scratch_cell = mshr_cell();
+    scratch_cell.disable_checkpoint = true;
+    let scratch = scratch_cell.prepare();
+    // The calibration-gated tiers and the attack-trial tiers (with the
+    // fork/scratch pair) are timed in one round-robin with the calibration
+    // kernel, so host load hits both sides of each ratio alike. They are
+    // cheap: the same rounds in both modes.
     let mut gated = vec![calib_tier()];
     gated.extend(policy_tiers());
     gated.push(dispatch_tier());
     gated.push(store_tier());
     gated.extend(pipeline_tiers(&programs));
-    gated.push(mshr_trial_tier(&prepared));
+    gated.extend(trial_tiers(&prepared, &scratch));
     let mut benches = measure_round_robin(CALIB_ROUNDS, gated);
-    bench_trials(trial_samples, &prepared, &mut benches);
     bench_checkpoint(engine_samples, &mut benches);
     bench_engine(engine_samples, &mut benches);
     bench_trace(engine_samples, &mut benches);

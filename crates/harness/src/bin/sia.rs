@@ -8,16 +8,16 @@
 //! sia sweep --grid defense --cache  # incremental: only changed units run
 //! sia attack --grid headline        # interference attacks + leakage scores
 //! sia scan                          # static gadget scan + dynamic confirm
-//! sia serve                         # long-running grid daemon (HTTP)
+//! sia serve                         # long-running job daemon (HTTP)
 //! sia cache stats                   # content-addressed unit store
 //! sia report results/               # results/*.json -> markdown tables
 //! sia bench                         # microbenchmarks -> BENCH_baseline.json
 //! sia bench --against BENCH_baseline.json   # perf-regression gate
 //! ```
 //!
-//! Each run writes one validated JSON document per experiment to the
-//! output directory (default `results/`) and prints a one-line status.
-//! Exit code is non-zero if any experiment fails.
+//! Each job writes one validated JSON document (`sia run`: one per
+//! experiment, into the output directory, default `results/`) and prints
+//! a one-line status. Exit code is non-zero if any job fails.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -29,8 +29,7 @@ use si_harness::json::{parse, Json};
 use si_harness::render::{render_report, splice_report, REPORT_BEGIN, REPORT_END};
 use si_harness::sweep::GRID_NAMES;
 use si_harness::{
-    parse_scheme, registry, run_experiment_engine, Engine, ExecStats, Experiment, RunConfig,
-    CACHE_DEFAULT_DIR, CODE_EPOCH,
+    parse_scheme, registry, Engine, ExecStats, RunConfig, CACHE_DEFAULT_DIR, CODE_EPOCH,
 };
 
 const USAGE: &str = "\
@@ -38,8 +37,8 @@ sia — speculative-interference experiment harness
 
 USAGE:
     sia list
-    sia run <EXPERIMENT>... [OPTIONS]
-    sia run --all [OPTIONS]
+    sia run <EXPERIMENT>... [JOB OPTIONS]
+    sia run --all [JOB OPTIONS]
     sia sweep [JOB OPTIONS]
     sia attack [JOB OPTIONS]
     sia scan [JOB OPTIONS]
@@ -49,24 +48,13 @@ USAGE:
     sia bench [--quick] [--out <FILE>] [--against <FILE>]
     sia trace record|replay|info|example [TRACE OPTIONS]
 
-RUN OPTIONS:
-    --all              run every registered experiment
-    --trials <N>       sample-size knob (per-experiment meaning; default varies)
-    --threads <N>      worker threads (0 or absent: all available cores)
-    --seed <N>         base seed (decimal or 0x-hex; default 0x51A02021)
-    --scheme <S>       scheme override for single-scheme experiments
-                       (e.g. dom, invisispec, fence-futuristic; see `sia list`)
-    --out <DIR>        output directory (default: results/)
-    --cache            serve experiments with unchanged specs from the unit
-                       cache; execute and store the rest
-    --cache-dir <DIR>  cache location (default: results/.cache; implies --cache)
-    --print            also print each result document to stdout
-    --no-wall-time     omit wall_time_ms from result files (bit-stable output)
-    -h, --help         show this help
-
-JOB OPTIONS (sweep, attack, scan; `sia serve` reads the same keys from a
-JSON body, where --no-checkpoint is no_checkpoint and repeated --filter
-flags are one filters array):
+JOB OPTIONS (run, sweep, attack, scan; `sia serve` reads the same keys from
+a JSON body, where the run's one experiment id is experiment,
+--no-checkpoint is no_checkpoint and repeated --filter flags are one
+filters array):
+    <EXPERIMENT>...    run: experiment ids (see `sia list`), one job each, in
+                       the given order; an unknown id fails before any runs
+    --all              run: every registered experiment, in registry order
     --grid <NAME>      sweep: defense (default), schemes, geometry, noise,
                        full, trace; attack: headline (default), geometry,
                        noise, full
@@ -79,22 +67,30 @@ flags are one filters array):
     --quick            CI smoke, same cells: sweep at scale 16 with one
                        trial per cell; attack and scan at six trials per cell
     --scale <N>        sweep: workload problem scale override
-    --trials <N>       trials per cell override (attack, scan: secret bits
-                       per cell; the scan's default is 12)
+    --trials <N>       run: the sample-size knob (per-experiment meaning;
+                       default varies, see `sia list`); sweep: trials per
+                       cell; attack, scan: secret bits per cell (the scan's
+                       default is 12)
     --horizon <N>      scan: speculative-window horizon in instructions
                        (default 128, the ROB depth)
     --no-checkpoint    attack: force every trial onto the from-scratch path
                        instead of forking the per-cell machine checkpoint;
                        output is byte-identical either way (the differential
                        CI step diffs the two to prove it)
-    --seed/--threads   as for run
+    --scheme <S>       run: scheme override for single-scheme experiments
+                       (e.g. dom, invisispec, fence-futuristic; see `sia list`)
+    --seed <N>         base seed (decimal or 0x-hex; default 0x51A02021)
+    --threads <N>      worker threads (0 or absent: all available cores)
     --cache            execute only units whose spec changed; splice the rest
-                       from the cache (output stays byte-identical). The scan
-                       caches its confirm trials; its static stage always runs
+                       from the cache (output stays byte-identical). A run
+                       job is one unit; the scan caches its confirm trials,
+                       and its static stage always runs
     --cache-dir <DIR>  cache location (default: results/.cache; implies --cache)
-    --out <FILE>       output file (default: results/<verb>-<grid>.json, and
+    --out <PATH>       run: output directory (default: results/, one
+                       <EXPERIMENT>.json each); sweep, attack, scan: output
+                       file (default: results/<verb>-<grid>.json, and
                        results/scan-corpus.json for the scan)
-    --print            also print the result document to stdout
+    --print            also print each result document to stdout
     --no-wall-time     omit wall_time_ms (bit-stable output)
     --no-artifact-cache  sweep: disable the in-process artifact cache (shared
                        decoded traces, replay plans, interval outcomes);
@@ -108,7 +104,7 @@ SERVE OPTIONS:
     --seed <N>         seed for requests that do not carry one
                        (default 0x51A02021, the CLI default)
     --store-dir <DIR>  packed unit store location (default: results/.cache)
-                       POST /v1/sweep|attack|scan run grids against the
+                       POST /v1/run|sweep|attack|scan run jobs against the
                        shared warm store; responses are byte-identical to
                        the offline verbs' --no-wall-time output. GET / on
                        the daemon lists the endpoints. SIGTERM/SIGINT shut
@@ -217,51 +213,6 @@ fn stats_note(stats: &ExecStats) -> String {
     )
 }
 
-struct Args {
-    ids: Vec<String>,
-    all: bool,
-    cfg: RunConfig,
-    out_dir: String,
-    cache: CacheArgs,
-    print: bool,
-    wall_time: bool,
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        ids: Vec::new(),
-        all: false,
-        cfg: RunConfig::default(),
-        out_dir: "results".to_owned(),
-        cache: CacheArgs::default(),
-        print: false,
-        wall_time: true,
-    };
-    walk_args(argv, |arg, value| {
-        if args.cache.accept(arg, value)? {
-            return Ok(());
-        }
-        match arg {
-            "--all" => args.all = true,
-            "--trials" => args.cfg.trials = Some(parse_num(arg, &value()?)?),
-            "--threads" => args.cfg.threads = parse_threads(&value()?)?,
-            "--seed" => args.cfg.seed = parse_seed(arg, &value()?)?,
-            "--scheme" => {
-                let text = value()?;
-                args.cfg.scheme =
-                    Some(parse_scheme(&text).ok_or_else(|| format!("unknown scheme '{text}'"))?);
-            }
-            "--out" => args.out_dir = value()?,
-            "--print" => args.print = true,
-            "--no-wall-time" => args.wall_time = false,
-            flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
-            id => args.ids.push(id.to_owned()),
-        }
-        Ok(())
-    })?;
-    Ok(args)
-}
-
 fn cmd_list() -> ExitCode {
     println!(
         "{:<16} {:>7} {:>8}  TITLE",
@@ -336,83 +287,11 @@ fn write_doc(doc: &mut Json, wall_ms: Option<u128>, path: &str, print: bool) -> 
     Ok(())
 }
 
-fn run_one(exp: &dyn Experiment, args: &Args, engine: &Engine) -> Result<ExecStats, String> {
-    let start = Instant::now();
-    let (outcome, stats) = run_experiment_engine(exp, &args.cfg, engine);
-    let mut envelope = outcome?;
-    let wall_ms = start.elapsed().as_millis();
-    let path = format!("{}/{}.json", args.out_dir, exp.id());
-    write_doc(
-        &mut envelope,
-        args.wall_time.then_some(wall_ms),
-        &path,
-        args.print,
-    )?;
-    println!(
-        "{:<16} {}  {:>7}ms  {}  -> {}",
-        exp.id(),
-        if stats.cached > 0 {
-            "ok (cached)"
-        } else {
-            "ok"
-        },
-        wall_ms,
-        summary_line(&envelope),
-        path
-    );
-    Ok(stats)
-}
-
-fn cmd_run(args: &Args) -> ExitCode {
-    let experiments = registry();
-    let selected: Vec<&dyn Experiment> = if args.all {
-        experiments.iter().map(AsRef::as_ref).collect()
-    } else {
-        let mut picked = Vec::new();
-        for id in &args.ids {
-            match experiments.iter().find(|e| e.id() == id) {
-                Some(e) => picked.push(e.as_ref()),
-                None => {
-                    eprintln!("error: unknown experiment '{id}' (try `sia list`)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        picked
-    };
-    if selected.is_empty() {
-        eprintln!("error: nothing to run — name experiments or pass --all");
-        return ExitCode::FAILURE;
-    }
-    // Each experiment is one engine unit and parallelizes its own trials
-    // (`cfg.threads`), so the unit-level engine stays single-threaded.
-    let engine = args.cache.engine(1);
-    let mut failures = 0usize;
-    let mut totals = ExecStats::default();
-    for exp in &selected {
-        match run_one(*exp, args, &engine) {
-            Ok(stats) => totals.absorb(stats),
-            Err(e) => {
-                eprintln!("{:<16} FAILED: {e}", exp.id());
-                failures += 1;
-            }
-        }
-    }
-    if args.cache.dir.is_some() {
-        println!("engine           {}", stats_note(&totals));
-    }
-    if failures > 0 {
-        eprintln!("{failures} of {} experiments failed", selected.len());
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// `sia sweep|attack|scan`: the job itself comes from
-/// [`JobSpec::from_argv`] — the same key table `sia serve` reads POST
-/// bodies with — and the process flags (threads, cache, output) are
-/// handled here.
+/// `sia run|sweep|attack|scan`: the jobs (for run, one per selected
+/// experiment) come from [`JobSpec::from_argv`] — the same key table
+/// `sia serve` reads POST bodies with — and the process flags (threads,
+/// cache, output) are handled here. A failed job does not stop the ones
+/// after it; any failure exits 1.
 fn cmd_job(verb: Verb, argv: &[String]) -> Result<ExitCode, String> {
     let mut threads = default_threads();
     let mut cache = CacheArgs::default();
@@ -420,7 +299,7 @@ fn cmd_job(verb: Verb, argv: &[String]) -> Result<ExitCode, String> {
     let mut print = false;
     let mut wall_time = true;
     let mut no_artifact_cache = false;
-    let job = JobSpec::from_argv(verb, argv, RunConfig::default().seed, |flag, value| {
+    let process = |flag: &str, value: &mut dyn FnMut() -> Result<String, String>| {
         if cache.accept(flag, value)? {
             return Ok(true);
         }
@@ -434,25 +313,59 @@ fn cmd_job(verb: Verb, argv: &[String]) -> Result<ExitCode, String> {
             _ => return Ok(false),
         }
         Ok(true)
-    })?;
-    let path = out.unwrap_or_else(|| format!("results/{}.json", job.stem()));
+    };
+    let jobs = JobSpec::from_argv(verb, argv, RunConfig::default().seed, process)?;
     // The artifact cache only changes wall-clock time, never results
     // (a CI job diffs cached vs uncached sweeps to prove it).
     ArtifactCache::global().set_enabled(!no_artifact_cache);
+    let engine = cache.engine(threads);
+    let mut failures = 0usize;
+    for job in &jobs {
+        // A run's --out names a directory; a grid verb's, its one file.
+        let path = match (verb, &out) {
+            (Verb::Run, dir) => format!(
+                "{}/{}.json",
+                dir.as_deref().unwrap_or("results"),
+                job.stem()
+            ),
+            (_, Some(file)) => file.clone(),
+            (_, None) => format!("results/{}.json", job.stem()),
+        };
+        if let Err(e) = run_job(job, &engine, &path, print, wall_time) {
+            eprintln!("{}:{:<10} FAILED: {e}", verb.name(), job.name());
+            failures += 1;
+        }
+    }
+    if failures > 0 {
+        eprintln!("{failures} of {} jobs failed", jobs.len());
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Runs one job, writes its document to `path`, and prints its status
+/// line.
+fn run_job(
+    job: &JobSpec,
+    engine: &Engine,
+    path: &str,
+    print: bool,
+    wall_time: bool,
+) -> Result<(), String> {
     let start = Instant::now();
-    let (mut envelope, stats) = job.run(&cache.engine(threads))?;
+    let (mut envelope, stats) = job.run(engine)?;
     let wall_ms = start.elapsed().as_millis();
-    write_doc(&mut envelope, wall_time.then_some(wall_ms), &path, print)?;
+    write_doc(&mut envelope, wall_time.then_some(wall_ms), path, print)?;
     println!(
         "{}:{:<10} ok  {:>7}ms  {}  {}  -> {}",
-        verb.name(),
+        job.verb().name(),
         job.name(),
         wall_ms,
         stats_note(&stats),
         summary_line(&envelope),
         path
     );
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 /// `sia cache stats|clear` — inspects or empties the packed unit store.
@@ -910,13 +823,12 @@ fn main() -> ExitCode {
         Some("list") => Ok(cmd_list()),
         Some("bench") => cmd_bench(rest),
         Some("trace") => cmd_trace(rest),
-        Some(name @ ("sweep" | "attack" | "scan")) => {
-            cmd_job(Verb::parse(name).expect("a grid verb"), rest)
+        Some(name @ ("run" | "sweep" | "attack" | "scan")) => {
+            cmd_job(Verb::parse(name).expect("a job verb"), rest)
         }
         Some("serve") => cmd_serve(rest),
         Some("cache") => cmd_cache(rest),
         Some("report") => cmd_report(rest),
-        Some("run") => parse_args(rest).map(|args| cmd_run(&args)),
         Some("-h" | "--help" | "help") | None => {
             print!("{USAGE}");
             Ok(ExitCode::SUCCESS)

@@ -3,14 +3,17 @@
 //!
 //! `--trials` scales the kernels: workload scale = `trials × 8`, clamped
 //! to `[16, 96]` (the default of 8 reproduces the seed binaries'
-//! scale 64). Workloads fan out across threads.
+//! scale 64). The cells are the defense sweep's fence columns over the
+//! eight kernels on the default machine, executed as sweep units (one
+//! per kernel and column) fanned out across threads.
 
+use si_cpu::{GeometryPreset, NoisePreset, PredictorPreset};
 use si_schemes::SchemeKind;
-use si_workloads::{slowdown, WorkloadKind};
+use si_workloads::WorkloadKind;
 
-use crate::exec::parallel_map;
 use crate::json::{obj, Json};
-use crate::{Experiment, RunCtx};
+use crate::sweep::{grid_outcomes, GridSpec};
+use crate::{scheme_slug, Engine, Experiment, RunCtx};
 
 pub struct Fig12;
 
@@ -35,50 +38,58 @@ impl Experiment for Fig12 {
     }
 
     fn run(&self, ctx: &RunCtx) -> Result<(Json, Json), String> {
-        let machine = ctx.machine();
-        let scale = scale_of(ctx.trials);
-        let kinds = WorkloadKind::all();
-        let rows = parallel_map(kinds.len(), ctx.threads, |i| {
-            (kinds[i], slowdown(kinds[i], scale, &SCHEMES, &machine))
-        });
+        // The fence columns of the defense sweep, on the default machine.
+        // Quiet noise never draws from its RNG streams, so the units' noise
+        // seeds change no cycle count.
+        let grid = GridSpec {
+            name: self.id().to_owned(),
+            schemes: SCHEMES.to_vec(),
+            workloads: WorkloadKind::all(),
+            geometries: vec![GeometryPreset::KabyLake],
+            noises: vec![NoisePreset::Quiet],
+            predictors: vec![PredictorPreset::P1k],
+            scale: scale_of(ctx.trials),
+            trials: 1,
+        };
+        let (outcomes, _) = grid_outcomes(&grid, ctx.seed, &Engine::new(ctx.threads));
         let mut geo = [0.0f64; 2];
         let mut measured = 0usize;
         let mut json_rows = Vec::new();
-        for (kind, row) in rows {
-            match row {
-                Ok(row) => {
-                    let entries: Vec<Json> = row
-                        .entries
-                        .iter()
-                        .map(|(scheme, cycles, slow)| {
-                            obj([
-                                ("scheme", Json::from(crate::scheme_slug(*scheme))),
-                                ("cycles", Json::from(*cycles)),
-                                ("slowdown", Json::from(*slow)),
-                            ])
-                        })
-                        .collect();
-                    geo[0] += row.entries[0].2.ln();
-                    geo[1] += row.entries[1].2.ln();
+        // One row per workload: the baseline column, then each scheme's.
+        for (kind, cells) in grid
+            .workloads
+            .iter()
+            .zip(outcomes.chunks(1 + SCHEMES.len()))
+        {
+            let mut row = obj([("workload", Json::from(kind.label()))]);
+            // A failed kernel reports its first failing column.
+            match cells.iter().cloned().collect::<Result<Vec<u64>, String>>() {
+                Ok(cycles) => {
+                    let baseline = cycles[0];
+                    let mut entries = Vec::with_capacity(SCHEMES.len());
+                    for (i, (scheme, &c)) in SCHEMES.iter().zip(&cycles[1..]).enumerate() {
+                        let slowdown = c as f64 / baseline as f64;
+                        geo[i] += slowdown.ln();
+                        entries.push(obj([
+                            ("scheme", Json::from(scheme_slug(*scheme))),
+                            ("cycles", Json::from(c)),
+                            ("slowdown", Json::from(slowdown)),
+                        ]));
+                    }
                     measured += 1;
-                    json_rows.push(obj([
-                        ("workload", Json::from(kind.label())),
-                        ("baseline_cycles", Json::from(row.baseline_cycles)),
-                        ("entries", Json::Arr(entries)),
-                    ]));
+                    row.push("baseline_cycles", Json::from(baseline));
+                    row.push("entries", Json::Arr(entries));
                 }
-                Err(e) => json_rows.push(obj([
-                    ("workload", Json::from(kind.label())),
-                    ("error", Json::from(e.to_string())),
-                ])),
+                Err(e) => row.push("error", Json::from(e)),
             }
+            json_rows.push(row);
         }
         if measured == 0 {
             return Err("every workload failed to run".to_owned());
         }
         let geomean = |sum_ln: f64| -> f64 { (sum_ln / measured as f64).exp() };
         let result = obj([
-            ("scale", Json::from(scale)),
+            ("scale", Json::from(grid.scale)),
             ("rows", Json::Arr(json_rows)),
             (
                 "paper_reference",

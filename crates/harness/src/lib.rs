@@ -22,6 +22,7 @@
 //! An experiment's JSON payload is a pure function of
 //! `(experiment, RunConfig)`. Trials fan out across threads through
 //! [`exec::parallel_map`] (a shim over `si-engine`'s work-stealing
+//! scheduler; Figure 12 runs its cells as sweep units on that same
 //! scheduler), which derives a private seed per trial index
 //! ([`exec::mix_seed`]) and writes results into preallocated per-index
 //! slots — so runs with `--threads 1` and `--threads N` are
@@ -29,8 +30,9 @@
 //! thread count is therefore execution detail, deliberately excluded
 //! from the output envelope.
 //!
-//! The same purity makes caching sound: the grid verbs compile their
-//! work into `si-engine` unit specs, and `--cache` re-runs splice
+//! The same purity makes caching sound: every job verb compiles its work
+//! into `si-engine` unit specs (a run job is one unit, the whole
+//! experiment; see [`job`]), and `--cache` re-runs splice
 //! unchanged units' outcomes from `results/.cache/` instead of
 //! re-simulating them (see [`CODE_EPOCH`] for the invalidation rule).
 //!
@@ -65,7 +67,6 @@ pub mod sweep;
 
 use json::{obj, Json};
 use si_cpu::MachineConfig;
-use si_engine::digest::fnv64;
 use si_schemes::SchemeKind;
 
 pub use json::{DocKind, SCHEMA_VERSION};
@@ -122,7 +123,7 @@ impl Default for RunConfig {
 pub struct RunCtx {
     /// Resolved sample-size knob (the experiment default unless set).
     pub trials: usize,
-    /// Worker threads for [`exec::parallel_map`] fan-out.
+    /// Worker threads for the experiment's own fan-out.
     pub threads: usize,
     /// Base seed.
     pub seed: u64,
@@ -204,45 +205,6 @@ pub fn run_experiment(exp: &dyn Experiment, cfg: &RunConfig) -> Result<Json, Str
         ("result", result),
         ("summary", summary),
     ]))
-}
-
-/// Compiles one experiment run into its engine unit spec: the `run`
-/// verb's unit graph treats a whole experiment as one unit (its envelope
-/// is a pure function of `(experiment, trials, seed, scheme)`), so
-/// `sia run --cache` skips experiments whose spec is unchanged.
-pub fn experiment_unit_spec(exp: &dyn Experiment, cfg: &RunConfig) -> UnitSpec {
-    let scheme = cfg.scheme.filter(|_| exp.supports_scheme_override());
-    UnitSpec {
-        kind: "experiment",
-        key: format!(
-            "experiment={} trials={} scheme={} schema={SCHEMA_VERSION}",
-            exp.id(),
-            cfg.trials.unwrap_or_else(|| exp.default_trials()),
-            scheme.map_or("default", scheme_slug),
-        ),
-        trial: 0,
-        seed: cfg.seed,
-        config_digest: fnv64(MachineConfig::default().fingerprint().as_bytes()),
-    }
-}
-
-/// Runs one experiment through the engine: the envelope is served from
-/// the unit cache when the spec is unchanged, executed (and stored)
-/// otherwise. Failures are never cached — a flaky environment must not
-/// poison future runs.
-pub fn run_experiment_engine(
-    exp: &dyn Experiment,
-    cfg: &RunConfig,
-    engine: &Engine,
-) -> (Result<Json, String>, ExecStats) {
-    let spec = experiment_unit_spec(exp, cfg);
-    let (mut out, stats) = engine.run_units(
-        std::slice::from_ref(&spec),
-        |_| run_experiment(exp, cfg),
-        |outcome| outcome.as_ref().ok().map(Json::to_pretty),
-        |payload| json::parse(payload).ok().map(Ok),
-    );
-    (out.pop().expect("exactly one unit"), stats)
 }
 
 /// Canonical CLI/JSON slug for a scheme.

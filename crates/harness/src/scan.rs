@@ -39,13 +39,12 @@
 //! scheme order of the job), so the document is a pure function of
 //! `(job, seed)`.
 
-use std::sync::OnceLock;
-
-use si_attack::{leakage, AttackScenario, BitTrial, PreparedScenario};
+use si_attack::{leakage, AttackScenario, BitTrial};
 use si_engine::{digest::fnv64, Engine, ExecStats, UnitSpec};
 use si_scan::{corpus, ConfirmClass, CorpusEntry, Finding, ScanConfig, ScanReport};
 use si_schemes::SchemeKind;
 
+use crate::attack::run_bit_trials;
 use crate::exec::mix_seed;
 use crate::json::{arr, obj, DocKind, Json, SCHEMA_VERSION};
 use crate::scheme_slug;
@@ -212,45 +211,16 @@ pub fn run_scan(job: &ScanJob, seed: u64, engine: &Engine) -> Result<(Json, Exec
         cells,
         specs,
     } = job.plan(seed)?;
-    let bits = leakage::secret_bits(trials, seed);
-    let prepared: Vec<OnceLock<PreparedScenario>> = cells.iter().map(|_| OnceLock::new()).collect();
-    let (outcomes, stats) = engine.run_units(
+    let (outcomes, stats) = run_bit_trials(
+        engine,
         &specs,
-        |i| {
-            let (cell, trial) = (i / trials, i % trials);
-            let p = prepared[cell].get_or_init(|| cells[cell].scenario.prepare());
-            p.run_bit_trial(bits[trial], specs[i].seed)
-        },
-        encode_trial,
-        decode_trial,
+        &cells.iter().map(|c| &c.scenario).collect::<Vec<_>>(),
+        &leakage::secret_bits(trials, seed),
     );
     Ok((
         scan_doc(job, seed, trials, &entries, &reports, &cells, &outcomes),
         stats,
     ))
-}
-
-/// Serializes one confirm bit-trial outcome for the unit cache (same
-/// shape as the attack verb's codec).
-fn encode_trial(t: &BitTrial) -> Option<String> {
-    let decoded = t.decoded.map_or("-".to_owned(), |d| d.to_string());
-    Some(format!("{} {decoded} {}", t.secret, t.cycles))
-}
-
-/// Parses what [`encode_trial`] wrote; anything else is a cache miss.
-fn decode_trial(payload: &str) -> Option<BitTrial> {
-    let mut parts = payload.split(' ');
-    let secret = parts.next()?.parse().ok()?;
-    let decoded = match parts.next()? {
-        "-" => None,
-        d => Some(d.parse().ok()?),
-    };
-    let cycles = parts.next()?.parse().ok()?;
-    parts.next().is_none().then_some(BitTrial {
-        secret,
-        decoded,
-        cycles,
-    })
 }
 
 fn hex(pc: u64) -> Json {
@@ -406,25 +376,6 @@ mod tests {
             schemes: vec![SchemeKind::InvisiSpecSpectre],
             trials: 2,
         }
-    }
-
-    #[test]
-    fn trial_codec_round_trips() {
-        for t in [
-            BitTrial {
-                secret: 1,
-                decoded: Some(1),
-                cycles: 77,
-            },
-            BitTrial {
-                secret: 0,
-                decoded: None,
-                cycles: 5,
-            },
-        ] {
-            assert_eq!(decode_trial(&encode_trial(&t).expect("encodes")), Some(t));
-        }
-        assert_eq!(decode_trial("nonsense"), None);
     }
 
     #[test]

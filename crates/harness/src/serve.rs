@@ -1,11 +1,11 @@
-//! `sia serve` — the long-running grid daemon.
+//! `sia serve` — the long-running job daemon.
 //!
 //! The daemon binds an [`si_http::Server`], opens the packed unit store
-//! **once**, and compiles every POSTed grid spec onto the same
-//! [`Engine`] unit stream the offline verbs use — a body is parsed by
+//! **once**, and compiles every POSTed job onto the same [`Engine`] unit
+//! stream the offline verbs use — a body is parsed by
 //! [`JobSpec::from_json`], the twin of the CLI's [`JobSpec::from_argv`]
 //! over one key table — so a served document is byte-identical to
-//! `sia sweep/attack/scan --no-wall-time` output by construction, and
+//! `sia run/sweep/attack/scan --no-wall-time` output by construction, and
 //! every request after the first warms the shared store. Concurrent
 //! clients posting overlapping grids deduplicate through the engine's
 //! in-flight table: each unique unit executes exactly once; later
@@ -15,20 +15,21 @@
 //! ## Endpoints
 //!
 //! `GET /` serves the endpoint table (`ENDPOINTS` below): `GET /healthz`,
-//! `GET /v1/store/stats`, and `POST /v1/sweep|attack|scan`, whose body is
-//! a JSON object of the verb's job keys (see [`crate::job`]).
+//! `GET /v1/store/stats`, and `POST /v1/run|sweep|attack|scan`, whose body
+//! is a JSON object of the verb's job keys (see [`crate::job`]); a run body
+//! names one experiment.
 //!
-//! Grid POSTs accept two query parameters: `?format=md` renders the
+//! Job POSTs accept two query parameters: `?format=md` renders the
 //! document through the same markdown renderer as `sia report` (the
 //! response is that file's report section), and `?stream=1` switches to
 //! chunked transfer — `progress: <done>/<total>` lines as units resolve,
 //! then the complete document as the final chunk (strip the
 //! progress-prefixed lines to recover the exact offline bytes).
 //!
-//! Unknown body keys, unknown grids, bad values, and bodies nested past
-//! [`crate::json::MAX_DEPTH`] are 400s with a JSON error body; unknown
-//! paths are 404; wrong methods are 405 with an `Allow` header. The
-//! daemon never panics on client input.
+//! Unknown body keys, unknown grids or experiments, bad values, and
+//! bodies nested past [`crate::json::MAX_DEPTH`] are 400s with a JSON
+//! error body; unknown paths are 404; wrong methods are 405 with an
+//! `Allow` header. The daemon never panics on client input.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,16 +45,17 @@ use crate::{Engine, ExecStats};
 
 /// The endpoint table served on `GET /`.
 const ENDPOINTS: &str = "\
-sia serve — speculative-interference grid daemon
+sia serve — speculative-interference job daemon
 
 ENDPOINTS:
   GET  /healthz          liveness probe
   GET  /v1/store/stats   packed unit-store statistics (JSON)
+  POST /v1/run           {\"experiment\",\"trials\",\"scheme\",\"seed\"}
   POST /v1/sweep         {\"grid\",\"quick\",\"filters\",\"scale\",\"trials\",\"seed\"}
   POST /v1/attack        {\"grid\",\"quick\",\"filters\",\"trials\",\"no_checkpoint\",\"seed\"}
   POST /v1/scan          {\"quick\",\"trials\",\"horizon\",\"seed\"}
 
-Grid POSTs: ?format=md renders markdown; ?stream=1 streams
+Job POSTs: ?format=md renders markdown; ?stream=1 streams
 'progress: <done>/<total>' lines (chunked) before the document.
 Responses are byte-identical to the offline verbs' --no-wall-time output.
 ";
@@ -138,7 +140,7 @@ fn handle(state: &ServeState, req: &Request, resp: &mut Responder) {
         },
         path => match path.strip_prefix("/v1/").and_then(Verb::parse) {
             Some(verb) => match method {
-                "POST" => grid_endpoint(state, verb, req, resp),
+                "POST" => job_endpoint(state, verb, req, resp),
                 _ => method_not_allowed(resp, "POST"),
             },
             None => resp.respond(
@@ -197,8 +199,8 @@ fn store_stats(state: &ServeState, resp: &mut Responder) {
     resp.respond(200, "application/json", doc.to_pretty().as_bytes());
 }
 
-/// `POST /v1/{sweep,attack,scan}`.
-fn grid_endpoint(state: &ServeState, verb: Verb, req: &Request, resp: &mut Responder) {
+/// `POST /v1/{run,sweep,attack,scan}`.
+fn job_endpoint(state: &ServeState, verb: Verb, req: &Request, resp: &mut Responder) {
     let job = match JobSpec::from_json(verb, &req.body, state.default_seed) {
         Ok(job) => job,
         Err(e) => {

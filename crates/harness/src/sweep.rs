@@ -438,23 +438,20 @@ fn decode_outcome(payload: &str) -> Option<Result<u64, String>> {
     payload.strip_prefix("err ").map(|e| Err(e.to_owned()))
 }
 
-/// Runs a sweep through the execution engine and returns the schema-v2
-/// result document plus the engine's executed/cached split. The
-/// document is a pure function of `(grid, seed)`; the engine's thread
-/// count and cache only change wall time.
-pub fn run_sweep(grid: &GridSpec, seed: u64, engine: &Engine) -> Result<(Json, ExecStats), String> {
-    if grid.scale == 0 {
-        return Err("workload scale must be non-zero".into());
-    }
+/// Executes `grid`'s unit stream under `seed` through `engine`: one
+/// kernel run per unit, each outcome (cycles, or the kernel's error) in
+/// unit order. [`run_sweep`] aggregates them into the sweep document;
+/// Figure 12 reads its cells straight from them.
+pub(crate) fn grid_outcomes(
+    grid: &GridSpec,
+    seed: u64,
+    engine: &Engine,
+) -> (Vec<Result<u64, String>>, ExecStats) {
     let trials = grid.trials.max(1);
     let rows = grid.rows();
-    if rows.is_empty() {
-        return Err("grid has no rows (an axis is empty)".into());
-    }
     let columns = grid.columns();
     let specs = grid.unit_specs(seed);
-
-    let (outcomes, stats) = engine.run_units(
+    engine.run_units(
         &specs,
         |i| {
             // Unit `i` is (row, column, trial) row-major; column 0 is the
@@ -469,7 +466,24 @@ pub fn run_sweep(grid: &GridSpec, seed: u64, engine: &Engine) -> Result<(Json, E
         },
         encode_outcome,
         decode_outcome,
-    );
+    )
+}
+
+/// Runs a sweep through the execution engine and returns the schema-v2
+/// result document plus the engine's executed/cached split. The
+/// document is a pure function of `(grid, seed)`; the engine's thread
+/// count and cache only change wall time.
+pub fn run_sweep(grid: &GridSpec, seed: u64, engine: &Engine) -> Result<(Json, ExecStats), String> {
+    if grid.scale == 0 {
+        return Err("workload scale must be non-zero".into());
+    }
+    let trials = grid.trials.max(1);
+    let rows = grid.rows();
+    if rows.is_empty() {
+        return Err("grid has no rows (an axis is empty)".into());
+    }
+    let columns = grid.columns();
+    let (outcomes, stats) = grid_outcomes(grid, seed, engine);
 
     // Aggregate per (row, column): mean cycles over successful trials.
     let mut json_rows = Vec::with_capacity(rows.len());
@@ -556,7 +570,7 @@ pub fn run_sweep(grid: &GridSpec, seed: u64, engine: &Engine) -> Result<(Json, E
     ]);
     let mut summary = obj([
         ("rows", Json::from(json_rows.len())),
-        ("units", Json::from(specs.len())),
+        ("units", Json::from(outcomes.len())),
         ("errors", Json::from(errors)),
     ]);
     for (i, scheme) in grid.schemes.iter().enumerate() {

@@ -5,6 +5,7 @@
 //! whose spec changed.
 
 use si_harness::attack::{run_attack_grid, AttackGrid};
+use si_harness::job::{JobSpec, Verb};
 use si_harness::sweep::{run_sweep, GridSpec};
 use si_harness::{Engine, CODE_EPOCH};
 
@@ -51,6 +52,31 @@ fn sweep_warm_rerun_is_byte_identical_with_zero_executed_units() {
     assert_eq!(cold.executed, cold.total, "cold cache executes everything");
     assert_eq!(warm.executed, 0, "warm pass must execute nothing");
     assert_eq!(warm.cached, warm.total);
+    let bytes = no_cache_doc.to_pretty();
+    assert_eq!(bytes, cold_doc.to_pretty(), "cache must not change output");
+    assert_eq!(bytes, warm_doc.to_pretty(), "warm splice must be identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run job is one unit: the whole experiment. A warm re-run splices it
+/// from the store without executing anything.
+#[test]
+fn run_job_warm_rerun_is_byte_identical_with_zero_executed_units() {
+    let body = br#"{"experiment": "fig09", "trials": 2}"#;
+    let job = JobSpec::from_json(Verb::Run, body, 0xE5_2021).expect("job");
+    let dir = temp_cache("run-warm");
+    let cached = Engine::with_cache(2, CODE_EPOCH, &dir);
+
+    let (no_cache_doc, _) = job.run(&Engine::new(2)).expect("runs");
+    let (cold_doc, cold) = job.run(&cached).expect("runs");
+    let (warm_doc, warm) = job.run(&cached).expect("runs");
+
+    assert_eq!((cold.total, cold.executed), (1, 1));
+    assert_eq!(
+        (warm.executed, warm.cached),
+        (0, 1),
+        "warm pass ran the experiment"
+    );
     let bytes = no_cache_doc.to_pretty();
     assert_eq!(bytes, cold_doc.to_pretty(), "cache must not change output");
     assert_eq!(bytes, warm_doc.to_pretty(), "warm splice must be identical");

@@ -90,6 +90,23 @@ fn every_registered_experiment_runs_with_one_trial() {
     }
 }
 
+/// Figure 12 runs its cells on the sweep's unit path. Its document is
+/// locked to the bytes `sia run fig12 --no-wall-time` wrote when it still
+/// ran a private per-kernel loop (default trials and seed), so the move
+/// changed no cycle count.
+#[test]
+fn fig12_reproduces_its_locked_document() {
+    let exp = find("fig12").expect("registered");
+    let cfg = RunConfig {
+        threads: 2,
+        ..RunConfig::default()
+    };
+    let doc = run_experiment(exp.as_ref(), &cfg)
+        .expect("runs")
+        .to_pretty();
+    assert_eq!(doc, include_str!("fixtures/fig12.json"));
+}
+
 /// The scheme override changes output only for experiments that declare
 /// support for it, and is recorded in the envelope config.
 #[test]

@@ -1,7 +1,8 @@
 //! Service-grade guarantees of `sia serve`, asserted in-process:
 //!
 //! * **Differential**: documents served over HTTP are byte-identical to
-//!   the offline verbs' output — cold store, warm store, and streamed.
+//!   the offline verbs' output — cold store, warm store, and streamed —
+//!   paper experiments included.
 //! * **Exactly-once**: N clients posting the same grid simultaneously
 //!   execute each unique unit once across the whole daemon; every
 //!   response is byte-identical.
@@ -14,10 +15,11 @@ use std::sync::atomic::Ordering;
 
 use si_harness::attack::{run_attack_grid, AttackGrid};
 use si_harness::json::{parse, Json};
+use si_harness::render::render_doc;
 use si_harness::scan::{run_scan, ScanJob};
 use si_harness::serve::{start, ServeHandle};
 use si_harness::sweep::{run_sweep, GridSpec};
-use si_harness::{Engine, RunConfig, CODE_EPOCH};
+use si_harness::{find, run_experiment, Engine, RunConfig, CODE_EPOCH};
 use si_http::client::{request, ClientResponse, Conn};
 
 /// Starts a daemon on an ephemeral port over a fresh store directory.
@@ -137,6 +139,40 @@ fn served_documents_match_offline_output_cold_and_warm() {
         request(&handle.addr, "POST", "/v1/scan", &[], scan_body.as_bytes()).expect("warm scan");
     assert_eq!(header_num(&warm, "x-sia-executed"), 0);
 
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `POST /v1/run` serves the offline experiment document byte for byte;
+/// a second identical POST is a store hit, and `?format=md` renders the
+/// section `sia report` renders for the experiment's result file.
+#[test]
+fn served_run_matches_the_offline_experiment() {
+    let (handle, dir) = daemon("run");
+    let body = br#"{"experiment": "fig09", "trials": 4}"#;
+    let offline = {
+        let exp = find("fig09").expect("registered");
+        let cfg = RunConfig {
+            trials: Some(4),
+            ..RunConfig::default()
+        };
+        run_experiment(exp.as_ref(), &cfg).expect("runs")
+    };
+    let cold = request(&handle.addr, "POST", "/v1/run", &[], body).expect("cold run");
+    assert_eq!(cold.status, 200);
+    assert_eq!(cold.text(), offline.to_pretty(), "served run != offline");
+    assert_eq!(header_num(&cold, "x-sia-executed"), 1);
+    let warm = request(&handle.addr, "POST", "/v1/run", &[], body).expect("warm run");
+    assert_eq!(
+        warm.text(),
+        offline.to_pretty(),
+        "warm served run != offline"
+    );
+    assert_eq!(header_num(&warm, "x-sia-executed"), 0, "warm pass re-ran");
+    let md = request(&handle.addr, "POST", "/v1/run?format=md", &[], body).expect("md");
+    assert_eq!(md.text(), render_doc("fig09", &offline).expect("renders"));
+    let missing = request(&handle.addr, "POST", "/v1/run", &[], br#"{"trials": 4}"#).expect("400");
+    assert_eq!(missing.status, 400, "a run body names its experiment");
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

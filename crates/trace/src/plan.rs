@@ -68,8 +68,8 @@ pub struct PlanInterval {
     /// line's last use, in last-use order — the LRU warm-up feed.
     pub warm_lines: Vec<u64>,
     /// The most recent resolved branches before the boundary (at most
-    /// [`TRAIN_WINDOW`]): `(pc, taken, target)` predictor training food.
-    pub branch_window: Vec<(u64, bool, u64)>,
+    /// [`TRAIN_WINDOW`]): `(pc, taken)` predictor training food.
+    pub branch_window: Vec<(u64, bool)>,
     /// Instructions to simulate (the interval length, shortened at the
     /// trace tail).
     pub target_instr: u64,
@@ -107,7 +107,7 @@ impl ReplayPlan {
         // Data lines touched and branches resolved during fast-forward,
         // in program order — the warm-up feed for each interval.
         let mut touched_lines: Vec<u64> = Vec::new();
-        let mut branch_hist: Vec<(u64, bool, u64)> = Vec::new();
+        let mut branch_hist: Vec<(u64, bool)> = Vec::new();
         // Store-written bytes since the last captured interval (last
         // value per address); drained into each interval's delta.
         let mut pending_writes: std::collections::HashMap<u64, u8> =
@@ -129,7 +129,7 @@ impl ReplayPlan {
                     }
                 }
                 if let Some(taken) = ev.branch_taken {
-                    branch_hist.push((pc, taken, interp.pc()));
+                    branch_hist.push((pc, taken));
                 }
             }
             if interp.halted() && interp.retired() < start_instr {
@@ -220,8 +220,8 @@ impl ReplayPlan {
         }
         // Predictor warm-up: re-train on the most recent resolved
         // branches (bounded so huge traces stay cheap to sample).
-        for &(pc, taken, target) in &iv.branch_window {
-            m.core_mut(0).train_branch(pc, taken, target);
+        for &(pc, taken) in &iv.branch_window {
+            m.core_mut(0).train_branch(pc, taken);
         }
         m
     }

@@ -64,7 +64,7 @@ fn replay_sampled_reference(
     let mut simulated_instr = 0u64;
     let mut intervals_run = 0u64;
     let mut touched_lines: Vec<u64> = Vec::new();
-    let mut branch_hist: Vec<(u64, bool, u64)> = Vec::new();
+    let mut branch_hist: Vec<(u64, bool)> = Vec::new();
     for rep in &samples.reps {
         let start_instr = rep.interval * samples.interval_len;
         while interp.retired() < start_instr && !interp.halted() {
@@ -74,7 +74,7 @@ fn replay_sampled_reference(
                 touched_lines.push(m.addr & !63);
             }
             if let Some(taken) = ev.branch_taken {
-                branch_hist.push((pc, taken, interp.pc()));
+                branch_hist.push((pc, taken));
             }
         }
         if interp.halted() && interp.retired() < start_instr {
@@ -111,8 +111,8 @@ fn replay_sampled_reference(
             });
         }
         let skip = branch_hist.len().saturating_sub(TRAIN_WINDOW);
-        for &(pc, taken, target_pc) in &branch_hist[skip..] {
-            m.core_mut(0).train_branch(pc, taken, target_pc);
+        for &(pc, taken) in &branch_hist[skip..] {
+            m.core_mut(0).train_branch(pc, taken);
         }
         while !m.core(0).halted() && m.core(0).stats().retired < target {
             assert!(m.cycle() < max_cycles, "reference replay timed out");

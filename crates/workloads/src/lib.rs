@@ -16,8 +16,8 @@
 //! * **balanced** — [`WorkloadKind::Mixed`].
 //!
 //! The harness runs each kernel to completion under a scheme and reports
-//! cycles; [`slowdown`] normalizes against the unprotected baseline —
-//! Figure 12's y-axis.
+//! cycles; dividing by the unprotected baseline's cycles gives Figure 12's
+//! y-axis.
 //!
 //! Every kernel checks itself: the program computes a checksum into `r31`
 //! and [`run`] verifies it against the reference interpreter, so a defense
@@ -515,43 +515,6 @@ fn run_trace(
     })
 }
 
-/// A Figure 12 row: one workload's normalized execution time under each
-/// scheme.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct SlowdownRow {
-    /// The workload.
-    pub kind: WorkloadKind,
-    /// Baseline (unprotected) cycles.
-    pub baseline_cycles: u64,
-    /// `(scheme, cycles, slowdown-multiple)` per evaluated scheme.
-    pub entries: Vec<(SchemeKind, u64, f64)>,
-}
-
-/// Measures normalized execution time of `kind` under each scheme
-/// (Figure 12's bars; 1.0 = unprotected).
-///
-/// # Errors
-///
-/// Propagates [`WorkloadError`] from any run.
-pub fn slowdown(
-    kind: WorkloadKind,
-    scale: usize,
-    schemes: &[SchemeKind],
-    config: &MachineConfig,
-) -> Result<SlowdownRow, WorkloadError> {
-    let base = run(kind, scale, SchemeKind::Unprotected, config)?;
-    let mut entries = Vec::with_capacity(schemes.len());
-    for s in schemes {
-        let m = run(kind, scale, *s, config)?;
-        entries.push((*s, m.cycles, m.cycles as f64 / base.cycles as f64));
-    }
-    Ok(SlowdownRow {
-        kind,
-        baseline_cycles: base.cycles,
-        entries,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,17 +541,17 @@ mod tests {
         }
     }
 
+    /// `kind`'s cycles under `scheme` over its unprotected cycles.
+    fn normalized_time(kind: WorkloadKind, scale: usize, scheme: SchemeKind) -> f64 {
+        let cycles = |s| run(kind, scale, s, &cfg()).unwrap().cycles as f64;
+        cycles(scheme) / cycles(SchemeKind::Unprotected)
+    }
+
     #[test]
     fn fence_futuristic_is_slower_than_fence_spectre() {
-        let row = slowdown(
-            WorkloadKind::PointerChase,
-            24,
-            &[SchemeKind::FenceSpectre, SchemeKind::FenceFuturistic],
-            &cfg(),
-        )
-        .unwrap();
-        let spectre = row.entries[0].2;
-        let futuristic = row.entries[1].2;
+        let spectre = normalized_time(WorkloadKind::PointerChase, 24, SchemeKind::FenceSpectre);
+        let futuristic =
+            normalized_time(WorkloadKind::PointerChase, 24, SchemeKind::FenceFuturistic);
         assert!(spectre >= 1.0, "defenses never speed things up: {spectre}");
         assert!(
             futuristic >= spectre,
@@ -598,18 +561,8 @@ mod tests {
 
     #[test]
     fn stream_prefers_baseline_over_futuristic_fence() {
-        let row = slowdown(
-            WorkloadKind::Stream,
-            128,
-            &[SchemeKind::FenceFuturistic],
-            &cfg(),
-        )
-        .unwrap();
-        assert!(
-            row.entries[0].2 > 1.1,
-            "fence cost visible: {:?}",
-            row.entries[0].2
-        );
+        let slowdown = normalized_time(WorkloadKind::Stream, 128, SchemeKind::FenceFuturistic);
+        assert!(slowdown > 1.1, "fence cost visible: {slowdown:?}");
     }
 
     #[test]

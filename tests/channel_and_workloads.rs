@@ -7,7 +7,7 @@ use speculative_interference::attacks::channel::{
 };
 use speculative_interference::cpu::MachineConfig;
 use speculative_interference::schemes::SchemeKind;
-use speculative_interference::workloads::{run, slowdown, WorkloadKind};
+use speculative_interference::workloads::{run, WorkloadKind};
 
 #[test]
 fn noise_free_channel_is_error_free_for_both_pocs() {
@@ -72,15 +72,14 @@ fn defense_cost_ordering_matches_figure_12() {
         WorkloadKind::HashProbe,
         WorkloadKind::Mixed,
     ] {
-        let row = slowdown(
-            kind,
-            32,
-            &[SchemeKind::FenceSpectre, SchemeKind::FenceFuturistic],
-            &machine,
-        )
-        .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-        let spectre = row.entries[0].2;
-        let futuristic = row.entries[1].2;
+        let cycles = |scheme| {
+            run(kind, 32, scheme, &machine)
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}"))
+                .cycles as f64
+        };
+        let base = cycles(SchemeKind::Unprotected);
+        let spectre = cycles(SchemeKind::FenceSpectre) / base;
+        let futuristic = cycles(SchemeKind::FenceFuturistic) / base;
         assert!(spectre >= 0.999, "{kind:?}: fence-spectre {spectre}");
         assert!(
             futuristic >= spectre - 1e-9,
