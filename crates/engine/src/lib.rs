@@ -23,12 +23,13 @@
 //!
 //! Cached outcomes are only valid while the *code* that produced them
 //! still computes the same function. The engine cannot see code, so the
-//! caller passes a `code_epoch` that is folded into every cache address:
-//! any change to simulation semantics must bump the caller's epoch
-//! constant, which orphans (not corrupts) every older entry. The
-//! harness combines this with per-unit machine-config digests, so
-//! config-shape changes invalidate automatically even when the epoch is
-//! forgotten.
+//! caller passes a `code_epoch` that is folded into every cache address
+//! (printed in hex in each canonical line): any change to simulation
+//! semantics must change the caller's epoch, which orphans (not
+//! corrupts) every older entry. The harness derives its epoch at build
+//! time from a digest of the simulation crates' sources plus a manual
+//! salt, and per-unit machine-config digests invalidate config-shape
+//! changes on top of it.
 
 pub mod artifact;
 pub mod digest;

@@ -235,7 +235,7 @@ impl PackStore {
     /// `code_epoch`) and orphaned (any other epoch). Counts the
     /// in-memory index, pending records included.
     pub fn stats(&self, code_epoch: u64) -> CacheStats {
-        let prefix = format!("epoch={code_epoch} ");
+        let prefix = format!("epoch={code_epoch:x} ");
         let mut stats = CacheStats::default();
         let inner = self.inner.read().expect("store lock");
         for entry in inner.index.values() {

@@ -41,7 +41,7 @@ impl UnitSpec {
     /// and stores next to the payload for verification.
     pub fn canonical(&self, code_epoch: u64) -> String {
         format!(
-            "epoch={code_epoch} kind={} {} trial={} seed={:#018x} cfg={:#018x}",
+            "epoch={code_epoch:x} kind={} {} trial={} seed={:#018x} cfg={:#018x}",
             self.kind, self.key, self.trial, self.seed, self.config_digest
         )
     }

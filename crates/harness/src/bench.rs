@@ -768,12 +768,10 @@ fn speedup(benches: &[Measured], reference: &str, prefix: &str) -> Option<f64> {
 }
 
 /// Runs the benchmark suite and returns the `BENCH_baseline.json` document.
-///
-/// `quick` only labels the document: both modes take the same samples,
-/// because the CI gate compares quick-mode ratios against the committed
-/// baseline, so quick-mode variance would set the gate's false-positive
-/// rate.
-pub fn run_benches(quick: bool) -> Json {
+/// There is one sample count: the CI gate compares this run's ratios
+/// against the committed baseline, so a cheaper, noisier mode would set
+/// the gate's false-positive rate.
+pub fn run_benches() -> Json {
     let engine_samples = 16;
     let programs = [
         ("alu_loop_2k", alu_loop_program()),
@@ -785,8 +783,7 @@ pub fn run_benches(quick: bool) -> Json {
     let scratch = scratch_cell.prepare();
     // The calibration-gated tiers and the attack-trial tiers (with the
     // fork/scratch pair) are timed in one round-robin with the calibration
-    // kernel, so host load hits both sides of each ratio alike. They are
-    // cheap: the same rounds in both modes.
+    // kernel, so host load hits both sides of each ratio alike.
     let mut gated = vec![calib_tier()];
     gated.extend(policy_tiers());
     gated.push(dispatch_tier());
@@ -809,7 +806,6 @@ pub fn run_benches(quick: bool) -> Json {
     obj([
         ("schema_version", Json::from(BENCH_SCHEMA_VERSION)),
         ("kind", Json::from("bench")),
-        ("quick", Json::from(quick)),
         (
             "benches",
             arr(benches.iter().map(Measured::to_json).collect::<Vec<_>>()),
@@ -910,8 +906,8 @@ mod tests {
     }
 
     #[test]
-    fn quick_bench_emits_valid_versioned_json() {
-        let doc = run_benches(true);
+    fn bench_emits_valid_versioned_json() {
+        let doc = run_benches();
         let text = doc.to_pretty();
         let parsed = parse(&text).expect("bench document parses");
         assert_eq!(

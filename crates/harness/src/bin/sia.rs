@@ -3,7 +3,7 @@
 //! ```text
 //! sia list                          # every registered experiment
 //! sia run fig07 --scheme dom        # one experiment
-//! sia run --all --trials 5          # CI smoke: everything, small
+//! sia run --all --trials 5          # everything, small
 //! sia sweep --grid defense          # declarative scenario sweep
 //! sia sweep --grid defense --cache  # incremental: only changed units run
 //! sia attack --grid headline        # interference attacks + leakage scores
@@ -45,7 +45,7 @@ USAGE:
     sia serve [SERVE OPTIONS]
     sia cache stats|clear [--dir <DIR>]
     sia report [PATH...] [REPORT OPTIONS]
-    sia bench [--quick] [--out <FILE>] [--against <FILE>]
+    sia bench [--out <FILE>] [--against <FILE>]
     sia trace record|replay|info|example [TRACE OPTIONS]
 
 JOB OPTIONS (run, sweep, attack, scan; `sia serve` reads the same keys from
@@ -64,7 +64,7 @@ filters array):
                        values match as family prefixes (--filter
                        scheme=dom,fence); unknown values list the axis's
                        valid values in the error
-    --quick            CI smoke, same cells: sweep at scale 16 with one
+    --quick            fewer samples, same cells: sweep at scale 16 with one
                        trial per cell; attack and scan at six trials per cell
     --scale <N>        sweep: workload problem scale override
     --trials <N>       run: the sample-size knob (per-experiment meaning;
@@ -75,8 +75,8 @@ filters array):
                        (default 128, the ROB depth)
     --no-checkpoint    attack: force every trial onto the from-scratch path
                        instead of forking the per-cell machine checkpoint;
-                       output is byte-identical either way (the differential
-                       CI step diffs the two to prove it)
+                       output is byte-identical either way (a differential
+                       oracle: the test suite compares the two)
     --scheme <S>       run: scheme override for single-scheme experiments
                        (e.g. dom, invisispec, fence-futuristic; see `sia list`)
     --seed <N>         base seed (decimal or 0x-hex; default 0x51A02021)
@@ -94,8 +94,8 @@ filters array):
     --no-wall-time     omit wall_time_ms (bit-stable output)
     --no-artifact-cache  sweep: disable the in-process artifact cache (shared
                        decoded traces, replay plans, interval outcomes);
-                       output is byte-identical either way — the trace
-                       CI job diffs the two to prove it
+                       output is byte-identical either way (a differential
+                       oracle: the test suite compares the two)
 
 SERVE OPTIONS:
     --addr <A>         bind address (default: 127.0.0.1:8787; port 0 picks
@@ -125,7 +125,6 @@ REPORT OPTIONS:
                        exit non-zero on drift
 
 BENCH OPTIONS:
-    --quick            fewer samples (CI smoke); same schema and bench set
     --out <FILE>       output file (default: BENCH_baseline.json)
     --against <FILE>   compare this run's speedup ratios against a baseline
                        snapshot: exit non-zero when any ratio regressed by
@@ -316,7 +315,7 @@ fn cmd_job(verb: Verb, argv: &[String]) -> Result<ExitCode, String> {
     };
     let jobs = JobSpec::from_argv(verb, argv, RunConfig::default().seed, process)?;
     // The artifact cache only changes wall-clock time, never results
-    // (a CI job diffs cached vs uncached sweeps to prove it).
+    // (the invariance matrix compares cached and uncached sweeps).
     ArtifactCache::global().set_enabled(!no_artifact_cache);
     let engine = cache.engine(threads);
     let mut failures = 0usize;
@@ -549,12 +548,10 @@ fn cmd_report(argv: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_bench(argv: &[String]) -> Result<ExitCode, String> {
-    let mut quick = false;
     let mut out = si_harness::bench::BENCH_DEFAULT_PATH.to_owned();
     let mut against: Option<String> = None;
     walk_args(argv, |arg, value| {
         match arg {
-            "--quick" => quick = true,
             "--out" => out = value()?,
             "--against" => against = Some(value()?),
             other => return Err(format!("unknown bench option '{other}'")),
@@ -579,7 +576,7 @@ fn cmd_bench(argv: &[String]) -> Result<ExitCode, String> {
         None => None,
     };
     let start = Instant::now();
-    let doc = si_harness::bench::run_benches(quick);
+    let doc = si_harness::bench::run_benches();
     let text = doc.to_pretty();
     if let Err(e) = parse(&text) {
         eprintln!("bench            FAILED: emitted malformed JSON: {e}");
@@ -688,11 +685,7 @@ fn cmd_trace(argv: &[String]) -> Result<ExitCode, String> {
             let mut workload: Option<String> = None;
             let mut scale = 48usize;
             let mut seed = 42u64;
-            let mut cfg = RecordConfig {
-                interval_len: 1024,
-                max_clusters: 8,
-                ..RecordConfig::default()
-            };
+            let mut cfg = RecordConfig::default();
             let mut out: Option<String> = None;
             walk_args(rest, |arg, value| {
                 match arg {

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 /// after `schema_version` — `"experiment"` (one `sia run` result),
 /// `"sweep"` (a `sia sweep` grid), `"attack"` (a `sia attack` grid), or
 /// `"bench"` (the `sia bench` snapshot) — so downstream consumers
-/// (`sia report`, CI validators) dispatch without guessing from
+/// (`sia report`, independent validators) dispatch without guessing from
 /// filenames. Experiment, sweep, and attack documents share the
 /// `config` / `result` / `summary` envelope.
 pub const SCHEMA_VERSION: u64 = 2;
@@ -295,7 +295,7 @@ fn write_escaped(out: &mut String, s: &str) {
 pub const MAX_DEPTH: usize = 128;
 
 /// Parses a JSON document — the validator behind `sia`'s write-then-check
-/// guarantee and the CI smoke job. Accepts exactly what the writer
+/// guarantee and the daemon's body parser. Accepts exactly what the writer
 /// emits plus standard JSON; rejects trailing garbage and nesting deeper
 /// than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {

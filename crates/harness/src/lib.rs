@@ -26,15 +26,17 @@
 //! scheduler), which derives a private seed per trial index
 //! ([`exec::mix_seed`]) and writes results into preallocated per-index
 //! slots — so runs with `--threads 1` and `--threads N` are
-//! **bit-identical**, and CI can diff result files across machines. The
-//! thread count is therefore execution detail, deliberately excluded
+//! **bit-identical** (`tests/invariants.rs` asserts it for every job,
+//! along with the store, artifact-cache, checkpoint and served toggles).
+//! The thread count is therefore execution detail, deliberately excluded
 //! from the output envelope.
 //!
 //! The same purity makes caching sound: every job verb compiles its work
 //! into `si-engine` unit specs (a run job is one unit, the whole
 //! experiment; see [`job`]), and `--cache` re-runs splice
 //! unchanged units' outcomes from `results/.cache/` instead of
-//! re-simulating them (see [`CODE_EPOCH`] for the invalidation rule).
+//! re-simulating them (see [`CODE_EPOCH`] for the invalidation rule,
+//! which needs no constant bumped by hand for simulator changes).
 //!
 //! ## Output schema
 //!
@@ -72,20 +74,36 @@ use si_schemes::SchemeKind;
 pub use json::{DocKind, SCHEMA_VERSION};
 pub use si_engine::{Engine, ExecStats, UnitSpec};
 
-/// The code-epoch every unit-cache key is derived under.
+/// The code epoch every unit-store address is derived under.
 ///
-/// **Invalidation rule:** cached unit outcomes are valid only while the
-/// simulation computes the same function of each unit spec. Config-shape
+/// **Invalidation rule:** a stored unit outcome is valid only while the
+/// code computes the same function of its unit spec. Config-shape
 /// changes invalidate automatically (specs digest
-/// `MachineConfig::fingerprint`), but a *semantic* change to the
-/// simulator, the workloads, the attack machinery, or a verb's
-/// per-unit execution **must bump this constant** — that orphans every
-/// older `results/.cache/` entry at once. When in doubt, bump: a stale
-/// epoch only costs one cold re-run. CI's engine-smoke job regenerates
-/// the committed fixtures cold and byte-diffs warm reruns, so a
-/// forgotten bump that changes results is caught by the fixture and
-/// report drift gates.
-pub const CODE_EPOCH: u64 = 1;
+/// `MachineConfig::fingerprint`). Code changes invalidate through this
+/// constant, which is derived at build time: `build.rs` digests every
+/// source file of the simulation crates (si-isa, si-cache, si-cpu,
+/// si-schemes, si-core, si-attack, si-workloads, si-trace, si-scan), and
+/// the digest is mixed with `CODE_SALT`. Any edit under those trees,
+/// even to a comment, moves the epoch and orphans every older
+/// `results/.cache/` and `sia serve` store entry; a false invalidation
+/// costs one cold run. A semantic change outside those trees — a verb's
+/// per-unit execution or payload codec in this crate, say — must bump
+/// `CODE_SALT`. The epoch is folded to 32 bits: it is printed in every
+/// store record's canonical line.
+pub const CODE_EPOCH: u64 = code_epoch(SOURCE_DIGEST, CODE_SALT);
+
+/// The manual half of [`CODE_EPOCH`]: bump it when unit outcomes change
+/// through code the source digest does not cover.
+const CODE_SALT: u64 = 1;
+
+/// The simulation crates' source digest, written by `build.rs`.
+const SOURCE_DIGEST: u64 = include!(concat!(env!("OUT_DIR"), "/source_digest.rs"));
+
+/// Mixes the source digest with the salt and folds the result to 32 bits.
+const fn code_epoch(digest: u64, salt: u64) -> u64 {
+    let mixed = digest ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (mixed ^ (mixed >> 32)) & 0xffff_ffff
+}
 
 /// The on-disk location of the unit cache (`--cache` default).
 pub const CACHE_DEFAULT_DIR: &str = "results/.cache";

@@ -161,7 +161,8 @@ impl GridSpec {
             },
             // Trace workloads ignore scale (fixed at record time), and
             // the grid uses scale 16 / one trial so `--quick` is a
-            // no-op: CI reproduces results/sweep-trace.json exactly.
+            // no-op: `--grid trace` reproduces results/sweep-trace.json
+            // with or without it.
             "trace" => GridSpec {
                 name: name.to_owned(),
                 schemes: vec![DomSpectre, FenceSpectre, FenceFuturistic, Advanced],
@@ -182,7 +183,7 @@ impl GridSpec {
         Ok(spec)
     }
 
-    /// Shrinks the grid for CI smoke runs: scale 16, one trial per cell.
+    /// Shrinks the grid for quick runs: scale 16, one trial per cell.
     /// Axis lists are untouched, so `--quick` exercises the same cells.
     pub fn quick(&mut self) {
         self.scale = 16;
@@ -686,7 +687,7 @@ mod tests {
             .expect("predictor filter");
         assert_eq!(grid.predictors, [PredictorPreset::Tage]);
 
-        // The trace grid is already quick-shaped, so the CI smoke run
+        // The trace grid is already quick-shaped, so a quick run
         // reproduces the committed fixture byte-for-byte.
         let grid = GridSpec::named("trace").expect("grid");
         let mut quick = grid.clone();

@@ -1,7 +1,8 @@
-//! Attack-grid guarantees: grid runs are bit-identical regardless of
-//! thread count, envelopes are well-formed schema v2 `kind:"attack"`
-//! documents, and the markdown renderer reproduces the committed golden
-//! output for the committed fixture result file.
+//! Attack-grid guarantees: the seed reaches the noise draws, envelopes
+//! are well-formed schema v2 `kind:"attack"` documents, and the
+//! markdown renderer reproduces the committed golden output for the
+//! committed fixture result file. Thread-count, store, checkpoint and
+//! served invariance are rows of `tests/invariants.rs`.
 
 use si_harness::attack::{run_attack_grid, AttackGrid};
 use si_harness::json::{parse, Json};
@@ -16,24 +17,6 @@ fn small_grid() -> AttackGrid {
         .expect("filter");
     grid.trials = 3;
     grid
-}
-
-/// The acceptance-criterion test: for a fixed `(grid, seed)`, a
-/// single-threaded run and a many-threaded run serialize to the same
-/// bytes — per-unit seeds derive from the unit index, never from
-/// thread identity or completion order.
-#[test]
-fn attack_grid_is_bit_identical_across_thread_counts() {
-    let grid = small_grid();
-    let serial = run_attack_grid(&grid, 0xA7_2021, &Engine::new(1))
-        .expect("serial run")
-        .0
-        .to_pretty();
-    let parallel = run_attack_grid(&grid, 0xA7_2021, &Engine::new(8))
-        .expect("parallel run")
-        .0
-        .to_pretty();
-    assert_eq!(serial, parallel, "thread count changed attack output");
 }
 
 /// Different base seeds must reach the noise machinery: on a jittery

@@ -1,8 +1,10 @@
-//! Service-grade guarantees of `sia serve`, asserted in-process:
+//! Service-grade guarantees of `sia serve`, asserted in-process (that a
+//! served document equals the offline one, cold and warm, is the served
+//! toggle of `tests/invariants.rs`):
 //!
-//! * **Differential**: documents served over HTTP are byte-identical to
-//!   the offline verbs' output — cold store, warm store, and streamed —
-//!   paper experiments included.
+//! * **Streaming and rendering**: a streamed response carries progress
+//!   lines and then the offline bytes; `?format=md` renders the
+//!   `sia report` section.
 //! * **Exactly-once**: N clients posting the same grid simultaneously
 //!   execute each unique unit once across the whole daemon; every
 //!   response is byte-identical.
@@ -13,10 +15,8 @@
 
 use std::sync::atomic::Ordering;
 
-use si_harness::attack::{run_attack_grid, AttackGrid};
 use si_harness::json::{parse, Json};
 use si_harness::render::render_doc;
-use si_harness::scan::{run_scan, ScanJob};
 use si_harness::serve::{start, ServeHandle};
 use si_harness::sweep::{run_sweep, GridSpec};
 use si_harness::{find, run_experiment, Engine, RunConfig, CODE_EPOCH};
@@ -52,100 +52,9 @@ fn header_num(resp: &ClientResponse, name: &str) -> usize {
         .expect("numeric header")
 }
 
-#[test]
-fn served_documents_match_offline_output_cold_and_warm() {
-    let (handle, dir) = daemon("differential");
-
-    // Sweep: cold then warm, against the offline bytes.
-    let expected = offline_sweep();
-    let cold = request(
-        &handle.addr,
-        "POST",
-        "/v1/sweep",
-        &[],
-        SWEEP_BODY.as_bytes(),
-    )
-    .expect("cold sweep");
-    assert_eq!(cold.status, 200);
-    assert_eq!(cold.text(), expected, "cold served sweep != offline");
-    assert_eq!(
-        header_num(&cold, "x-sia-executed"),
-        header_num(&cold, "x-sia-units")
-    );
-    let warm = request(
-        &handle.addr,
-        "POST",
-        "/v1/sweep",
-        &[],
-        SWEEP_BODY.as_bytes(),
-    )
-    .expect("warm sweep");
-    assert_eq!(warm.text(), expected, "warm served sweep != offline");
-    assert_eq!(
-        header_num(&warm, "x-sia-executed"),
-        0,
-        "warm pass re-ran units"
-    );
-    assert_eq!(
-        header_num(&warm, "x-sia-cached"),
-        header_num(&warm, "x-sia-units")
-    );
-
-    // Attack: shrunk quick grid.
-    let attack_body =
-        r#"{"quick": true, "filters": ["scheme=invisispec,fence-futuristic"], "trials": 3}"#;
-    let expected_attack = {
-        let mut grid = AttackGrid::named("headline").expect("grid");
-        grid.quick();
-        grid.apply_filter("scheme=invisispec,fence-futuristic")
-            .expect("filter");
-        grid.trials = 3;
-        let (doc, _) =
-            run_attack_grid(&grid, RunConfig::default().seed, &Engine::new(2)).expect("runs");
-        doc.to_pretty()
-    };
-    let served = request(
-        &handle.addr,
-        "POST",
-        "/v1/attack",
-        &[],
-        attack_body.as_bytes(),
-    )
-    .expect("attack");
-    assert_eq!(served.text(), expected_attack, "served attack != offline");
-    let warm = request(
-        &handle.addr,
-        "POST",
-        "/v1/attack",
-        &[],
-        attack_body.as_bytes(),
-    )
-    .expect("warm attack");
-    assert_eq!(header_num(&warm, "x-sia-executed"), 0);
-
-    // Scan: quick corpus with shrunk confirm trials.
-    let scan_body = r#"{"quick": true, "trials": 2}"#;
-    let expected_scan = {
-        let mut job = ScanJob::standard();
-        job.quick();
-        job.trials = 2;
-        let (doc, _) = run_scan(&job, RunConfig::default().seed, &Engine::new(2)).expect("runs");
-        doc.to_pretty()
-    };
-    let served =
-        request(&handle.addr, "POST", "/v1/scan", &[], scan_body.as_bytes()).expect("scan");
-    assert_eq!(served.text(), expected_scan, "served scan != offline");
-    let warm =
-        request(&handle.addr, "POST", "/v1/scan", &[], scan_body.as_bytes()).expect("warm scan");
-    assert_eq!(header_num(&warm, "x-sia-executed"), 0);
-
-    handle.stop();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `POST /v1/run` serves the offline experiment document byte for byte;
-/// a second identical POST is a store hit, and `?format=md` renders the
-/// section `sia report` renders for the experiment's result file.
+/// `POST /v1/run?format=md` renders the section `sia report` renders for
+/// the experiment's result file, and a run body without an experiment
+/// is a 400.
 #[test]
 fn served_run_matches_the_offline_experiment() {
     let (handle, dir) = daemon("run");
@@ -158,17 +67,6 @@ fn served_run_matches_the_offline_experiment() {
         };
         run_experiment(exp.as_ref(), &cfg).expect("runs")
     };
-    let cold = request(&handle.addr, "POST", "/v1/run", &[], body).expect("cold run");
-    assert_eq!(cold.status, 200);
-    assert_eq!(cold.text(), offline.to_pretty(), "served run != offline");
-    assert_eq!(header_num(&cold, "x-sia-executed"), 1);
-    let warm = request(&handle.addr, "POST", "/v1/run", &[], body).expect("warm run");
-    assert_eq!(
-        warm.text(),
-        offline.to_pretty(),
-        "warm served run != offline"
-    );
-    assert_eq!(header_num(&warm, "x-sia-executed"), 0, "warm pass re-ran");
     let md = request(&handle.addr, "POST", "/v1/run?format=md", &[], body).expect("md");
     assert_eq!(md.text(), render_doc("fig09", &offline).expect("renders"));
     let missing = request(&handle.addr, "POST", "/v1/run", &[], br#"{"trials": 4}"#).expect("400");

@@ -1,7 +1,8 @@
-//! Sweep-subsystem guarantees: grid runs are bit-identical regardless
-//! of thread count, envelopes are well-formed schema v2, and the
-//! markdown renderer reproduces the committed golden output for the
-//! committed fixture result file.
+//! Sweep-subsystem guarantees: the seed reaches the noise draws,
+//! envelopes are well-formed schema v2, and the markdown renderer
+//! reproduces the committed golden output for the committed fixture
+//! result file. Thread-count, store, artifact-cache and served
+//! invariance are rows of `tests/invariants.rs`.
 
 use si_harness::json::{parse, Json};
 use si_harness::render::render_doc;
@@ -18,69 +19,6 @@ fn small_grid() -> GridSpec {
     grid.apply_filter("noise=quiet,jitter").expect("filter");
     grid.trials = 2;
     grid
-}
-
-/// The acceptance-criterion test: for a fixed `(grid, seed)`, a
-/// single-threaded sweep and a many-threaded sweep serialize to the
-/// same bytes — per-unit seeds derive from the unit index, never from
-/// thread identity or completion order.
-#[test]
-fn sweep_is_bit_identical_across_thread_counts() {
-    let grid = small_grid();
-    let serial = run_sweep(&grid, 0xD5_2021, &Engine::new(1))
-        .expect("serial sweep")
-        .0
-        .to_pretty();
-    let parallel = run_sweep(&grid, 0xD5_2021, &Engine::new(8))
-        .expect("parallel sweep")
-        .0
-        .to_pretty();
-    assert_eq!(serial, parallel, "thread count changed sweep output");
-}
-
-/// Trace replay goes through the same engine, so the trace grid (the
-/// committed `traces/*.sit` fixtures × every defense column, predictor
-/// `tage`) carries the same guarantee: sampled replay's per-interval
-/// machines are constructed deterministically, never keyed on thread
-/// identity or completion order.
-#[test]
-fn trace_sweep_is_bit_identical_across_thread_counts() {
-    let grid = GridSpec::named("trace").expect("named grid");
-    let serial = run_sweep(&grid, 0xD5_2021, &Engine::new(1))
-        .expect("serial sweep")
-        .0
-        .to_pretty();
-    let parallel = run_sweep(&grid, 0xD5_2021, &Engine::new(8))
-        .expect("parallel sweep")
-        .0
-        .to_pretty();
-    assert_eq!(serial, parallel, "thread count changed trace-sweep output");
-}
-
-/// The artifact cache (decoded traces, replay plans, warm checkpoints,
-/// memoized interval outcomes) must never change sweep output: a
-/// cache-disabled run, the run that populates the cache, and a fully
-/// warm run serialize to the same bytes at any thread count.
-#[test]
-fn trace_sweep_is_identical_with_and_without_artifact_cache() {
-    let grid = GridSpec::named("trace").expect("named grid");
-    let cache = si_engine::ArtifactCache::global();
-    cache.set_enabled(false);
-    let uncached = run_sweep(&grid, 0xD5_2021, &Engine::new(2))
-        .expect("uncached sweep")
-        .0
-        .to_pretty();
-    cache.set_enabled(true);
-    let populating = run_sweep(&grid, 0xD5_2021, &Engine::new(2))
-        .expect("populating sweep")
-        .0
-        .to_pretty();
-    let warm = run_sweep(&grid, 0xD5_2021, &Engine::new(1))
-        .expect("warm sweep")
-        .0
-        .to_pretty();
-    assert_eq!(uncached, populating, "artifact cache changed sweep output");
-    assert_eq!(populating, warm, "warm artifact cache changed sweep output");
 }
 
 /// Different base seeds must reach the noise machinery (jitter cells

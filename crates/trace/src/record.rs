@@ -28,7 +28,7 @@ pub struct RecordConfig {
 impl Default for RecordConfig {
     fn default() -> RecordConfig {
         RecordConfig {
-            interval_len: 1_000,
+            interval_len: 1_024,
             max_clusters: 8,
             warmup_intervals: 4,
             max_steps: 30_000_000,

@@ -1,16 +1,29 @@
 //! Committed sample-trace fixtures and their replay as workloads.
 //!
 //! Each [`SampleTrace`] names a `.sit` file under `traces/` recorded
-//! from one of the benchmark kernels with `sia trace record` (interval
-//! length 1024, at most 8 clusters). The bytes are embedded at compile
-//! time, so trace workloads need no filesystem access at run time and
-//! the harness can fold the exact bytes' digest into engine cache keys.
+//! from one of the benchmark kernels with `sia trace record` at the
+//! default program seed (42) and recording parameters (interval length
+//! 1024, at most 8 clusters, 4 warm-up intervals):
+//!
+//! ```text
+//! sia trace record --workload mixed --scale 4000   # traces/mixed.sit
+//! sia trace record --workload sort --scale 72      # traces/sort.sit
+//! sia trace record --workload hash --scale 4000    # traces/hash.sit
+//! ```
+//!
+//! [`SampleTrace::source`] holds the same kernels and scales, and a test
+//! re-records each one against the committed bytes. The bytes are
+//! embedded at compile time, so trace workloads need no filesystem
+//! access at run time and the harness can fold the exact bytes' digest
+//! into engine cache keys.
 
 use std::sync::Arc;
 
 use si_engine::ArtifactCache;
 use si_isa::Program;
 use si_trace::{fnv1a64, TraceFile};
+
+use crate::WorkloadKind;
 
 /// The committed sample traces, each recorded from a branchy kernel
 /// (the interesting case for the `predictor=tage` axis).
@@ -36,6 +49,16 @@ impl SampleTrace {
             SampleTrace::Mixed => "trace-mixed",
             SampleTrace::Sort => "trace-sort",
             SampleTrace::Hash => "trace-hash",
+        }
+    }
+
+    /// The kernel and scale the fixture was recorded from (see the module
+    /// docs for the commands).
+    pub fn source(self) -> (WorkloadKind, usize) {
+        match self {
+            SampleTrace::Mixed => (WorkloadKind::Mixed, 4000),
+            SampleTrace::Sort => (WorkloadKind::BranchySort, 72),
+            SampleTrace::Hash => (WorkloadKind::HashProbe, 4000),
         }
     }
 
@@ -117,6 +140,7 @@ impl SampleTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use si_trace::RecordConfig;
 
     #[test]
     fn fixtures_decode_and_carry_sampling_plans() {
@@ -130,6 +154,18 @@ mod tests {
                 t.label()
             );
             assert_ne!(t.content_digest(), 0);
+        }
+    }
+
+    /// Each committed fixture is exactly what `sia trace record` writes
+    /// for its kernel and scale today.
+    #[test]
+    fn fixtures_re_record_byte_for_byte() {
+        for t in SampleTrace::all() {
+            let (kernel, scale) = t.source();
+            let trace = si_trace::record(&kernel.program(scale, 42), &RecordConfig::default())
+                .expect("the kernel records");
+            assert!(trace.encode() == t.bytes(), "{} drifted", t.label());
         }
     }
 
