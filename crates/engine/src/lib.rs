@@ -27,9 +27,8 @@
 //! (printed in hex in each canonical line): any change to simulation
 //! semantics must change the caller's epoch, which orphans (not
 //! corrupts) every older entry. The harness derives its epoch at build
-//! time from a digest of the simulation crates' sources plus a manual
-//! salt, and per-unit machine-config digests invalidate config-shape
-//! changes on top of it.
+//! time from a digest of the workspace crates' sources, and per-unit
+//! machine-config digests invalidate config-shape changes on top of it.
 
 pub mod artifact;
 pub mod digest;

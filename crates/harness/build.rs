@@ -1,34 +1,36 @@
-//! Derives the source half of `CODE_EPOCH`: a digest of every simulation
-//! crate's `src/` tree, so a store entry can never answer for code that
-//! changed since it was written (see the invalidation rule in `lib.rs`).
+//! Derives `CODE_EPOCH`'s source digest: a digest of every crate's
+//! `src/` tree under `crates/` (the vendored `compat/*` crates too), so
+//! a store entry can never answer for code that changed since it was
+//! written (see the invalidation rule in `lib.rs`).
 //!
-//! The digest is FNV-1a-64 over each file's path relative to `crates/`
-//! (sorted, `/`-separated) and its bytes, each behind its length. Cargo
-//! re-runs this script when anything under those trees changes.
+//! The trees are found by walking `crates/`, so a new crate is covered
+//! without a list to keep. Only [`PRESENTATION`] is left out: si-harness
+//! files that print, serve or time documents but compute no unit
+//! outcome. The digest is FNV-1a-64 over each file's path relative to
+//! `crates/` (sorted, `/`-separated) and its bytes, each behind its
+//! length. Cargo re-runs this script when anything under those trees
+//! changes.
 
 use std::path::{Path, PathBuf};
 
-/// The crates whose sources decide what a unit computes.
-const SIMULATION_CRATES: [&str; 9] = [
-    "isa",
-    "cache",
-    "cpu",
-    "schemes",
-    "core",
-    "attack",
-    "workloads",
-    "trace",
-    "scan",
+/// Files and directories (relative to `crates/`) that no unit outcome
+/// depends on: an edit to them keeps every store entry live.
+const PRESENTATION: [&str; 4] = [
+    "harness/src/bench.rs",
+    "harness/src/bin",
+    "harness/src/render.rs",
+    "harness/src/serve.rs",
 ];
 
 fn main() {
     let manifest = std::env::var("CARGO_MANIFEST_DIR").expect("cargo sets CARGO_MANIFEST_DIR");
     let crates = Path::new(&manifest).join("..");
+    let mut src_dirs = Vec::new();
+    find_src_dirs(&crates, "", &mut src_dirs);
     let mut files = Vec::new();
-    for name in SIMULATION_CRATES {
-        let src = crates.join(name).join("src");
-        println!("cargo:rerun-if-changed={}", src.display());
-        collect(&src, &format!("{name}/src"), &mut files);
+    for (rel, dir) in &src_dirs {
+        println!("cargo:rerun-if-changed={}", dir.display());
+        collect(dir, rel, &mut files);
     }
     println!("cargo:rerun-if-changed=build.rs");
     files.sort();
@@ -46,18 +48,42 @@ fn main() {
         .expect("writing the source digest");
 }
 
-/// Every file under `dir`, as `(path relative to crates/, path)`.
+/// Every `src/` directory under `dir` (build output excluded), as
+/// `(path relative to crates/, path)`.
+fn find_src_dirs(dir: &Path, rel: &str, out: &mut Vec<(String, PathBuf)>) {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().expect("an entry name").to_string_lossy();
+        if !path.is_dir() || name == "target" {
+            continue;
+        }
+        let sub = format!("{rel}{name}");
+        if name == "src" {
+            out.push((sub, path));
+        } else {
+            find_src_dirs(&path, &format!("{sub}/"), out);
+        }
+    }
+}
+
+/// Every file under `dir` outside [`PRESENTATION`], as `(path relative
+/// to crates/, path)`.
 fn collect(dir: &Path, rel: &str, out: &mut Vec<(String, PathBuf)>) {
     let entries =
         std::fs::read_dir(dir).unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()));
     for entry in entries {
-        let entry = entry.expect("directory entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let path = entry.path();
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().expect("an entry name").to_string_lossy();
+        let sub = format!("{rel}/{name}");
+        if PRESENTATION.contains(&sub.as_str()) {
+            continue;
+        }
         if path.is_dir() {
-            collect(&path, &format!("{rel}/{name}"), out);
+            collect(&path, &sub, out);
         } else {
-            out.push((format!("{rel}/{name}"), path));
+            out.push((sub, path));
         }
     }
 }

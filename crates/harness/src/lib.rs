@@ -26,17 +26,15 @@
 //! scheduler), which derives a private seed per trial index
 //! ([`exec::mix_seed`]) and writes results into preallocated per-index
 //! slots — so runs with `--threads 1` and `--threads N` are
-//! **bit-identical** (`tests/invariants.rs` asserts it for every job,
-//! along with the store, artifact-cache, checkpoint and served toggles).
-//! The thread count is therefore execution detail, deliberately excluded
+//! **bit-identical** (`tests/invariants.rs` asserts it, with the other
+//! toggles, for every job). The thread count is therefore execution detail, deliberately excluded
 //! from the output envelope.
 //!
 //! The same purity makes caching sound: every job verb compiles its work
 //! into `si-engine` unit specs (a run job is one unit, the whole
 //! experiment; see [`job`]), and `--cache` re-runs splice
 //! unchanged units' outcomes from `results/.cache/` instead of
-//! re-simulating them (see [`CODE_EPOCH`] for the invalidation rule,
-//! which needs no constant bumped by hand for simulator changes).
+//! re-simulating them (see [`CODE_EPOCH`] for the invalidation rule).
 //!
 //! ## Output schema
 //!
@@ -80,30 +78,20 @@ pub use si_engine::{Engine, ExecStats, UnitSpec};
 /// code computes the same function of its unit spec. Config-shape
 /// changes invalidate automatically (specs digest
 /// `MachineConfig::fingerprint`). Code changes invalidate through this
-/// constant, which is derived at build time: `build.rs` digests every
-/// source file of the simulation crates (si-isa, si-cache, si-cpu,
-/// si-schemes, si-core, si-attack, si-workloads, si-trace, si-scan), and
-/// the digest is mixed with `CODE_SALT`. Any edit under those trees,
-/// even to a comment, moves the epoch and orphans every older
-/// `results/.cache/` and `sia serve` store entry; a false invalidation
-/// costs one cold run. A semantic change outside those trees — a verb's
-/// per-unit execution or payload codec in this crate, say — must bump
-/// `CODE_SALT`. The epoch is folded to 32 bits: it is printed in every
-/// store record's canonical line.
-pub const CODE_EPOCH: u64 = code_epoch(SOURCE_DIGEST, CODE_SALT);
+/// constant, which `build.rs` derives from a digest of every `src/` tree
+/// under `crates/`: the simulation crates, the engine, the vendored
+/// `compat/*` crates, and this crate's experiments, verb executors and
+/// payload codecs. Any edit there, even to a comment, moves the epoch and
+/// orphans every older `results/.cache/` and `sia serve` store entry; a
+/// false invalidation costs one cold run. Only the files that print,
+/// serve or time documents (`render.rs`, `serve.rs`, `bench.rs`, `bin/`)
+/// are left out, so a report or CLI edit keeps a warm store. No constant
+/// is bumped by hand. The epoch is folded to 32 bits: it is printed in
+/// every store record's canonical line.
+pub const CODE_EPOCH: u64 = (SOURCE_DIGEST ^ (SOURCE_DIGEST >> 32)) & 0xffff_ffff;
 
-/// The manual half of [`CODE_EPOCH`]: bump it when unit outcomes change
-/// through code the source digest does not cover.
-const CODE_SALT: u64 = 1;
-
-/// The simulation crates' source digest, written by `build.rs`.
+/// The source digest, written by `build.rs`.
 const SOURCE_DIGEST: u64 = include!(concat!(env!("OUT_DIR"), "/source_digest.rs"));
-
-/// Mixes the source digest with the salt and folds the result to 32 bits.
-const fn code_epoch(digest: u64, salt: u64) -> u64 {
-    let mixed = digest ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (mixed ^ (mixed >> 32)) & 0xffff_ffff
-}
 
 /// The on-disk location of the unit cache (`--cache` default).
 pub const CACHE_DEFAULT_DIR: &str = "results/.cache";

@@ -1,10 +1,7 @@
-//! Text rendering for the harness's reporting layer: the timeline
-//! formatting helpers plus the
+//! Text rendering for the harness's reporting layer: the
 //! deterministic markdown renderer behind `sia report`, which turns any
 //! `results/*.json` document — experiment, sweep, or bench — into the
 //! generated tables of EXPERIMENTS.md.
-
-use si_cpu::{StallReason, TraceEvent};
 
 use crate::json::{doc_kind, DocKind, Json};
 
@@ -515,66 +512,6 @@ pub fn splice_report(text: &str, generated: &str) -> Result<String, String> {
     ))
 }
 
-/// Formats one trace event for the timeline figures. Returns `None` for
-/// event kinds the timelines don't display.
-pub fn format_event(cycle: u64, base: u64, e: &TraceEvent) -> Option<String> {
-    let t = cycle.saturating_sub(base);
-    let s = match e {
-        TraceEvent::Issue { seq, port } => format!("{t:>5}  issue        seq={seq} port={port}"),
-        TraceEvent::LoadAccess {
-            seq,
-            addr,
-            level,
-            visible,
-        } => format!(
-            "{t:>5}  load-access  seq={seq} addr=0x{addr:x} level={level:?} {}",
-            if *visible { "visible" } else { "invisible" }
-        ),
-        TraceEvent::LoadDelayed { seq, addr } => {
-            format!("{t:>5}  load-DELAYED seq={seq} addr=0x{addr:x}")
-        }
-        TraceEvent::MshrStall { seq, addr } => {
-            format!("{t:>5}  mshr-stall   seq={seq} addr=0x{addr:x}")
-        }
-        TraceEvent::Squash {
-            branch_seq,
-            squashed,
-        } => format!("{t:>5}  SQUASH       branch={branch_seq} killed={squashed}"),
-        TraceEvent::FetchStall { reason } => match reason {
-            StallReason::QueueFull => format!("{t:>5}  fetch-stall  decode-queue-full"),
-            StallReason::ICacheMiss => format!("{t:>5}  fetch-stall  icache-miss"),
-            StallReason::NoInstruction => return None,
-        },
-        _ => return None,
-    };
-    Some(s)
-}
-
-/// Extracts the attack-episode window from a full-trial trace: everything
-/// from shortly before the final squash (the attack iteration's
-/// mis-speculation) to shortly after. Returns the window base cycle and
-/// the contained events.
-pub fn episode_window(
-    trace: &[(u64, TraceEvent)],
-    before: u64,
-    after: u64,
-) -> (u64, Vec<(u64, TraceEvent)>) {
-    let squash_cycle = trace
-        .iter()
-        .rev()
-        .find(|(_, e)| matches!(e, TraceEvent::Squash { squashed, .. } if *squashed > 0))
-        .map(|(c, _)| *c)
-        .unwrap_or_else(|| trace.last().map(|(c, _)| *c).unwrap_or(0));
-    let lo = squash_cycle.saturating_sub(before);
-    let hi = squash_cycle + after;
-    let events = trace
-        .iter()
-        .filter(|(c, _)| *c >= lo && *c <= hi)
-        .cloned()
-        .collect();
-    (lo, events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,32 +620,5 @@ mod tests {
         assert!(md.contains(
             "| `paper-mshr` | `mshr-pressure` | `invisispec-spectre` | **1.00** | leaks |"
         ));
-    }
-
-    #[test]
-    fn episode_window_centers_on_last_squash() {
-        let trace = vec![
-            (10, TraceEvent::Fetch { pc: 0 }),
-            (
-                100,
-                TraceEvent::Squash {
-                    branch_seq: 1,
-                    squashed: 3,
-                },
-            ),
-            (150, TraceEvent::Fetch { pc: 8 }),
-            (
-                300,
-                TraceEvent::Squash {
-                    branch_seq: 9,
-                    squashed: 5,
-                },
-            ),
-            (320, TraceEvent::Fetch { pc: 16 }),
-            (900, TraceEvent::Fetch { pc: 24 }),
-        ];
-        let (base, events) = episode_window(&trace, 50, 50);
-        assert_eq!(base, 250);
-        assert_eq!(events.len(), 2);
     }
 }

@@ -11,19 +11,16 @@
 //! sia trace record --workload hash --scale 4000    # traces/hash.sit
 //! ```
 //!
-//! [`SampleTrace::source`] holds the same kernels and scales, and a test
-//! re-records each one against the committed bytes. The bytes are
-//! embedded at compile time, so trace workloads need no filesystem
-//! access at run time and the harness can fold the exact bytes' digest
-//! into engine cache keys.
+//! A test re-records each kernel at its scale against the committed
+//! bytes. The bytes are embedded at compile time, so trace workloads
+//! need no filesystem access at run time and the harness can fold the
+//! exact bytes' digest into engine cache keys.
 
 use std::sync::Arc;
 
 use si_engine::ArtifactCache;
 use si_isa::Program;
 use si_trace::{fnv1a64, TraceFile};
-
-use crate::WorkloadKind;
 
 /// The committed sample traces, each recorded from a branchy kernel
 /// (the interesting case for the `predictor=tage` axis).
@@ -49,16 +46,6 @@ impl SampleTrace {
             SampleTrace::Mixed => "trace-mixed",
             SampleTrace::Sort => "trace-sort",
             SampleTrace::Hash => "trace-hash",
-        }
-    }
-
-    /// The kernel and scale the fixture was recorded from (see the module
-    /// docs for the commands).
-    pub fn source(self) -> (WorkloadKind, usize) {
-        match self {
-            SampleTrace::Mixed => (WorkloadKind::Mixed, 4000),
-            SampleTrace::Sort => (WorkloadKind::BranchySort, 72),
-            SampleTrace::Hash => (WorkloadKind::HashProbe, 4000),
         }
     }
 
@@ -140,6 +127,7 @@ impl SampleTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadKind;
     use si_trace::RecordConfig;
 
     #[test]
@@ -158,11 +146,16 @@ mod tests {
     }
 
     /// Each committed fixture is exactly what `sia trace record` writes
-    /// for its kernel and scale today.
+    /// for its kernel and scale (the module docs' commands) today.
     #[test]
     fn fixtures_re_record_byte_for_byte() {
-        for t in SampleTrace::all() {
-            let (kernel, scale) = t.source();
+        let sources = [
+            (SampleTrace::Mixed, WorkloadKind::Mixed, 4000),
+            (SampleTrace::Sort, WorkloadKind::BranchySort, 72),
+            (SampleTrace::Hash, WorkloadKind::HashProbe, 4000),
+        ];
+        assert_eq!(sources.len(), SampleTrace::all().len());
+        for (t, kernel, scale) in sources {
             let trace = si_trace::record(&kernel.program(scale, 42), &RecordConfig::default())
                 .expect("the kernel records");
             assert!(trace.encode() == t.bytes(), "{} drifted", t.label());
