@@ -208,9 +208,7 @@ impl AttackScenario {
     /// and calibration. Prepare once per cell, not per trial.
     pub fn prepare(&self) -> PreparedScenario {
         let attack = self.attack();
-        let reference_delta = attack
-            .attacker_provides_reference()
-            .then(|| attack.calibrate());
+        let reference_delta = attack.resolved_reference_delta();
         let checkpoints = if attack.checkpointable() {
             match (attack.checkpoint_trial(0), attack.checkpoint_trial(1)) {
                 (Some(c0), Some(c1)) => Some(Box::new([c0, c1])),

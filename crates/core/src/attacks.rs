@@ -223,21 +223,21 @@ impl Attack {
     /// Runs one trial with the given secret bit; fresh machine, fresh
     /// training.
     pub fn run_trial(&self, secret: u64) -> TrialResult {
-        let delta = if self.attacker_provides_reference() {
-            Some(match self.reference_delta {
-                Some(d) => d,
-                None => self.calibrate(),
-            })
-        } else {
-            None
-        };
-        self.run_trial_inner(secret, delta, false)
+        self.run_trial_inner(secret, self.resolved_reference_delta(), false)
             .map(|(r, _)| r)
             .unwrap_or(TrialResult {
                 decoded: None,
                 cycles: TRIAL_BUDGET,
                 trace: Vec::new(),
             })
+    }
+
+    /// The attacker-reference offset a trial uses: `None` for orderings
+    /// without an attacker reference, else [`Attack::reference_delta`]
+    /// when set, else [`Attack::calibrate`].
+    pub fn resolved_reference_delta(&self) -> Option<u64> {
+        self.attacker_provides_reference()
+            .then(|| self.reference_delta.unwrap_or_else(|| self.calibrate()))
     }
 
     /// Auto-calibrates the attacker-reference offset: runs one trial per
@@ -268,11 +268,8 @@ impl Attack {
         quiet.machine.noise.dram_jitter = 0;
         quiet.machine.noise.background_period = 0;
         quiet.trace = true;
-        let delta = quiet
-            .attacker_provides_reference()
-            .then(|| quiet.reference_delta.unwrap_or_else(|| quiet.calibrate()));
         quiet
-            .run_trial_inner(secret, delta, false)
+            .run_trial_inner(secret, quiet.resolved_reference_delta(), false)
             .map(|(r, _)| r.trace)
             .unwrap_or_default()
     }
@@ -347,14 +344,7 @@ impl Attack {
     /// byte-identical to [`Attack::run_trial`] with the same secret and
     /// seed — the `--no-checkpoint` differential path exists to prove it.
     pub fn run_trial_from(&self, ck: &TrialCheckpoint) -> TrialResult {
-        let delta = if self.attacker_provides_reference() {
-            Some(match self.reference_delta {
-                Some(d) => d,
-                None => self.calibrate(),
-            })
-        } else {
-            None
-        };
+        let delta = self.resolved_reference_delta();
         let mut m = ck.checkpoint.fork_with_seed(self.machine.noise.seed);
         self.finish_parked(&mut m, ck.start, ck.deadline, delta, false)
             .map(|(r, _)| r)

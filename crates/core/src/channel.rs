@@ -32,38 +32,47 @@ pub struct ChannelPoint {
     pub bit_rate_bps: f64,
 }
 
+/// Transmits `bits` with `reps` majority-voted trials per bit and
+/// returns the decoded bits and the simulated cycles of every trial.
+/// Trial `k` (counted across all bits) runs at noise seed
+/// `seed + k + seed_offset`; undecodable trials abstain from the vote
+/// (ties decode as 0).
+fn transmit(attack: &Attack, bits: &[u64], reps: usize, seed_offset: u64) -> (Vec<u64>, u64) {
+    let mut attack = attack.clone();
+    attack.reference_delta = attack.resolved_reference_delta();
+    let mut cycles = 0u64;
+    let decoded = bits
+        .iter()
+        .enumerate()
+        .map(|(i, bit)| {
+            let mut votes = [0usize; 2];
+            for r in 0..reps {
+                // Decorrelate the noise across trials.
+                let mut a = attack.clone();
+                a.machine.noise.seed = attack
+                    .machine
+                    .noise
+                    .seed
+                    .wrapping_add((i * reps + r) as u64 + seed_offset);
+                let t = a.run_trial(*bit);
+                cycles += t.cycles;
+                if let Some(d) = t.decoded {
+                    votes[(d & 1) as usize] += 1;
+                }
+            }
+            u64::from(votes[1] > votes[0])
+        })
+        .collect();
+    (decoded, cycles)
+}
+
 /// Transmits `bits` through the channel with `reps` repetitions per bit
 /// and majority voting; undecodable trials abstain from the vote (ties
 /// decode as 0).
 pub fn measure_point(attack: &Attack, bits: &[u64], reps: usize) -> ChannelPoint {
     assert!(reps > 0, "need at least one repetition per bit");
-    let mut errors = 0usize;
-    let mut total_cycles = 0u64;
-    let mut attack = attack.clone();
-    if attack.attacker_provides_reference() && attack.reference_delta.is_none() {
-        attack.reference_delta = Some(attack.calibrate());
-    }
-    for (i, bit) in bits.iter().enumerate() {
-        let mut votes = [0usize; 2];
-        for r in 0..reps {
-            // Decorrelate the noise across trials.
-            let mut a = attack.clone();
-            a.machine.noise.seed = attack
-                .machine
-                .noise
-                .seed
-                .wrapping_add((i * reps + r) as u64 + 1);
-            let t = a.run_trial(*bit);
-            total_cycles += t.cycles;
-            if let Some(d) = t.decoded {
-                votes[(d & 1) as usize] += 1;
-            }
-        }
-        let decoded = u64::from(votes[1] > votes[0]);
-        if decoded != *bit {
-            errors += 1;
-        }
-    }
+    let (decoded, total_cycles) = transmit(attack, bits, reps, 1);
+    let errors = decoded.iter().zip(bits).filter(|(d, b)| d != b).count();
     let cycles_per_bit = total_cycles as f64 / bits.len() as f64;
     ChannelPoint {
         reps_per_bit: reps,
@@ -72,16 +81,6 @@ pub fn measure_point(attack: &Attack, bits: &[u64], reps: usize) -> ChannelPoint
         cycles_per_bit,
         bit_rate_bps: CLOCK_GHZ * 1e9 / cycles_per_bit,
     }
-}
-
-/// Sweeps repetitions-per-bit to produce an error-vs-rate curve
-/// (Figure 11's axes).
-pub fn sweep(attack: &Attack, n_bits: usize, reps_list: &[usize], seed: u64) -> Vec<ChannelPoint> {
-    let bits = random_bits(n_bits, seed);
-    reps_list
-        .iter()
-        .map(|r| measure_point(attack, &bits, *r))
-        .collect()
 }
 
 /// Generates a reproducible random bit vector.
@@ -110,34 +109,8 @@ pub struct KeyLeak {
 /// the paper's "an AES-128 key can be leaked in under 0.3 s with 80%
 /// accuracy" claim.
 pub fn leak_bits(attack: &Attack, bits: &[u64], reps: usize) -> KeyLeak {
-    let mut attack = attack.clone();
-    if attack.attacker_provides_reference() && attack.reference_delta.is_none() {
-        attack.reference_delta = Some(attack.calibrate());
-    }
-    let mut recovered = Vec::with_capacity(bits.len());
-    let mut cycles = 0u64;
-    let mut correct = 0usize;
-    for (i, bit) in bits.iter().enumerate() {
-        let mut votes = [0usize; 2];
-        for r in 0..reps {
-            let mut a = attack.clone();
-            a.machine.noise.seed = attack
-                .machine
-                .noise
-                .seed
-                .wrapping_add((i * reps + r) as u64);
-            let t = a.run_trial(*bit);
-            cycles += t.cycles;
-            if let Some(d) = t.decoded {
-                votes[(d & 1) as usize] += 1;
-            }
-        }
-        let decoded = u64::from(votes[1] > votes[0]);
-        if decoded == *bit {
-            correct += 1;
-        }
-        recovered.push(decoded);
-    }
+    let (recovered, cycles) = transmit(attack, bits, reps, 0);
+    let correct = recovered.iter().zip(bits).filter(|(d, b)| d == b).count();
     let seconds = cycles as f64 / (CLOCK_GHZ * 1e9);
     KeyLeak {
         accuracy: correct as f64 / bits.len() as f64,

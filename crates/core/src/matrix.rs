@@ -33,10 +33,8 @@ pub fn run_cell(
     cfg.noise.dram_jitter = 0;
     cfg.noise.background_period = 0;
     let mut attack = Attack::new(attack_kind, scheme, cfg);
-    if attack.attacker_provides_reference() && attack.reference_delta.is_none() {
-        // Calibrate once per cell so both trials share the reference time.
-        attack.reference_delta = Some(attack.calibrate());
-    }
+    // Calibrate once per cell so both trials share the reference time.
+    attack.reference_delta = attack.resolved_reference_delta();
     let d0 = attack.run_trial(0).decoded;
     let d1 = attack.run_trial(1).decoded;
     MatrixCell {

@@ -133,17 +133,9 @@ impl ExecUnits {
         done_at
     }
 
-    /// Removes and returns every operation completing at or before `now`,
-    /// oldest sequence first.
-    pub fn collect_done(&mut self, now: u64) -> Vec<InFlight> {
-        let mut done: Vec<InFlight> = Vec::new();
-        self.drain_done_into(now, &mut done);
-        done
-    }
-
-    /// [`collect_done`](ExecUnits::collect_done) into a caller-owned
-    /// buffer (cleared first), so the per-cycle completion sweep reuses
-    /// one allocation.
+    /// Moves every operation completing at or before `now` into `done`
+    /// (cleared first), oldest sequence first. The buffer is the
+    /// caller's, so the per-cycle completion sweep reuses one allocation.
     pub fn drain_done_into(&mut self, now: u64, done: &mut Vec<InFlight>) {
         done.clear();
         self.in_flight.retain(|op| {
@@ -238,14 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn collect_done_returns_completions_in_age_order() {
+    fn drain_done_returns_completions_in_age_order() {
         let fu = fu();
         let mut eu = ExecUnits::new(&fu);
         eu.begin_cycle();
         eu.issue(&fu, FuClass::IntAlu, 1, 9, 0, ExecPayload::Value(9));
         eu.issue(&fu, FuClass::IntAlu, 0, 3, 0, ExecPayload::Value(3));
-        assert!(eu.collect_done(0).is_empty());
-        let done = eu.collect_done(1);
+        let mut done = Vec::new();
+        eu.drain_done_into(0, &mut done);
+        assert!(done.is_empty());
+        eu.drain_done_into(1, &mut done);
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].seq, 3);
         assert_eq!(done[1].seq, 9);
@@ -258,7 +252,7 @@ mod tests {
         let mut eu = ExecUnits::new(&fu);
         eu.begin_cycle();
         eu.issue(&fu, FuClass::FpSqrt, 0, 0, 0, ExecPayload::Value(1));
-        eu.collect_done(15);
+        eu.drain_done_into(15, &mut Vec::new());
         eu.hold_port(0, 20);
         eu.begin_cycle();
         assert!(eu.free_port(&fu, FuClass::FpSqrt, 15).is_none());

@@ -181,13 +181,11 @@ impl Machine {
         self.cycle
     }
 
-    /// Loads `program` onto `core_idx` (keeping that core's scheme) and
+    /// Loads `program` onto `core_idx` under the [`Unprotected`]
+    /// baseline scheme (whatever scheme the core had is dropped) and
     /// merges the program's data into shared memory.
     pub fn load_program(&mut self, core_idx: usize, program: &Program) {
-        self.shared.memory.load_program_data(program);
-        let scheme = self.replace_core_scheme_placeholder(core_idx);
-        self.cores[core_idx] =
-            Core::new(core_idx, self.config.core.clone(), program.clone(), scheme);
+        self.load_program_with_scheme(core_idx, program, Box::new(Unprotected));
     }
 
     /// Loads `program` onto `core_idx` under `scheme`.
@@ -222,12 +220,6 @@ impl Machine {
         self.shared.memory.load_program_data(&program);
         self.cores[core_idx] =
             Core::new_shared(core_idx, self.config.core.clone(), program, scheme, entry);
-    }
-
-    fn replace_core_scheme_placeholder(&mut self, _core_idx: usize) -> Box<dyn SpeculationScheme> {
-        // Core does not expose its scheme; reloading a program resets to
-        // the baseline unless a scheme is supplied explicitly.
-        Box::new(Unprotected)
     }
 
     /// Access to a core.

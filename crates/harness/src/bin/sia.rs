@@ -12,7 +12,7 @@
 //! sia cache stats                   # content-addressed unit store
 //! sia report results/               # results/*.json -> markdown tables
 //! sia bench                         # microbenchmarks -> BENCH_baseline.json
-//! sia bench --against BENCH_baseline.json   # perf-regression gate
+//! sia bench --against BENCH_baseline.json   # perf-regression gate, writes nothing
 //! ```
 //!
 //! Each job writes one validated JSON document (`sia run`: one per
@@ -125,7 +125,8 @@ REPORT OPTIONS:
                        exit non-zero on drift
 
 BENCH OPTIONS:
-    --out <FILE>       output file (default: BENCH_baseline.json)
+    --out <FILE>       output file (default: BENCH_baseline.json; with
+                       --against, no file is written unless --out is given)
     --against <FILE>   compare this run's speedup ratios against a baseline
                        snapshot: exit non-zero when any ratio regressed by
                        more than 25%, warn beyond 10%
@@ -548,20 +549,26 @@ fn cmd_report(argv: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_bench(argv: &[String]) -> Result<ExitCode, String> {
-    let mut out = si_harness::bench::BENCH_DEFAULT_PATH.to_owned();
+    let mut out: Option<String> = None;
     let mut against: Option<String> = None;
     walk_args(argv, |arg, value| {
         match arg {
-            "--out" => out = value()?,
+            "--out" => out = Some(value()?),
             "--against" => against = Some(value()?),
             other => return Err(format!("unknown bench option '{other}'")),
         }
         Ok(())
     })?;
-    // Load the baseline *before* running or writing anything: with the
-    // default --out, the output path IS the baseline file, and reading
-    // it afterwards would compare the run against itself (and clobber
-    // the snapshot it was meant to be gated by).
+    // A gate run writes only where --out says: the default output path
+    // is the committed baseline, which the gate must leave as it is.
+    let out = out.or_else(|| {
+        against
+            .is_none()
+            .then(|| si_harness::bench::BENCH_DEFAULT_PATH.to_owned())
+    });
+    // Load the baseline *before* running or writing anything: --out may
+    // name the baseline file itself, and reading it afterwards would
+    // compare the run against itself.
     let baseline = match &against {
         Some(path) => match std::fs::read_to_string(path)
             .map_err(|e| format!("reading {path}: {e}"))
@@ -582,19 +589,21 @@ fn cmd_bench(argv: &[String]) -> Result<ExitCode, String> {
         eprintln!("bench            FAILED: emitted malformed JSON: {e}");
         return Ok(ExitCode::FAILURE);
     }
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("bench            FAILED: writing {out}: {e}");
-        return Ok(ExitCode::FAILURE);
+    if let Some(out) = &out {
+        if let Err(e) = std::fs::write(out, &text) {
+            eprintln!("bench            FAILED: writing {out}: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
     }
     let speedups = doc
         .get("speedups")
         .map(|s| s.to_compact())
         .unwrap_or_default();
     println!(
-        "bench            ok  {:>7}ms  {}  -> {}",
+        "bench            ok  {:>7}ms  {}{}",
         start.elapsed().as_millis(),
         speedups,
-        out
+        out.map(|o| format!("  -> {o}")).unwrap_or_default()
     );
     if let (Some(baseline), Some(path)) = (baseline, against) {
         return Ok(bench_regression_gate(&doc, &baseline, &path));

@@ -74,11 +74,9 @@ impl Experiment for Fig11 {
             .iter()
             .map(|c| {
                 let mut a = Attack::new(c.kind, scheme, machine.clone());
-                if a.attacker_provides_reference() && a.reference_delta.is_none() {
-                    // Calibrate once per curve so all trials share the
-                    // reference time.
-                    a.reference_delta = Some(a.calibrate());
-                }
+                // Calibrate once per curve so all trials share the
+                // reference time.
+                a.reference_delta = a.resolved_reference_delta();
                 a
             })
             .collect();

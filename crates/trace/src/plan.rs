@@ -24,9 +24,9 @@
 //! Stage 2 — [`ReplayPlan::warm_machine`] + [`ReplayPlan::run_interval`]
 //! or the [`replay_planned`] convenience loop — is pure consumption: it
 //! never touches the interpreter. Callers that cache (si-workloads, via
-//! the si-engine artifact cache) capture the warmed machine with
-//! `si_cpu::MachineCheckpoint` and fork it per trial instead of
-//! re-warming.
+//! the si-engine artifact cache) share the plan and memoize each
+//! interval's simulated outcome under quiet noise, so a repeat replay
+//! warms no machine at all.
 //!
 //! Everything here is deterministic: a plan is a pure function of the
 //! trace, and plan-based replay is cycle-for-cycle identical to the

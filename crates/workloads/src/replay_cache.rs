@@ -163,7 +163,7 @@ mod tests {
     /// seeds share the same memoized interval outcomes and must match
     /// from-scratch replay for each seed.
     #[test]
-    fn checkpoint_reuse_is_seed_faithful() {
+    fn interval_memo_is_seed_faithful() {
         let t = SampleTrace::Sort;
         let trace = t.decode();
         let digest = t.content_digest();
@@ -180,7 +180,10 @@ mod tests {
             let cached =
                 replay_trace_cached(&trace, digest, SchemeKind::Unprotected, &config, BUDGET)
                     .unwrap();
-            assert_eq!(cached, reference, "seed {seed} diverged through checkpoint");
+            assert_eq!(
+                cached, reference,
+                "seed {seed} diverged through the interval memo"
+            );
         }
     }
 
@@ -212,7 +215,7 @@ mod tests {
     /// A noisy config must bypass the interval memo (its outcome depends
     /// on the seed) and still produce correct, deterministic results.
     #[test]
-    fn noisy_configs_bypass_checkpoints_and_stay_correct() {
+    fn noisy_configs_bypass_the_interval_memo_and_stay_correct() {
         let t = SampleTrace::Mixed;
         let trace = t.decode();
         let digest = t.content_digest();
